@@ -13,8 +13,9 @@
 //   1. generate() with store_dir set — every edge streams through the
 //      batched sink into delta+varint blocks; the same sink feeds a
 //      node-degree oracle (one atomic u32 per node, the only O(n) RAM of
-//      the phase). The commfree x = 1 memo runs bounded (--spill-budget
-//      per rank) so generator state cannot grow with n.
+//      the phase). The commfree x = 1 derivation is a memo-free chain
+//      walk, so generator state is O(1) per rank at any n; --spill-dir /
+//      --spill-budget are accepted and only matter for x > 1.
 //   2. Fold the oracle into a (degree -> count) histogram and free it.
 //   3. Re-open the store as a ShardedGraphView under --budget bytes and
 //      run the distributed degree kernel over the *merged* edge source —

@@ -15,8 +15,9 @@
 // edges into the compressed block store (src/store/, docs/storage.md)
 // without gathering them — combinable with any mode — and the finished
 // store is verified by re-opening it under --store-budget bytes.
-// --spill-dir/--spill-budget page the commfree engine's derivation state
-// to disk, bounding peak RSS. In statistics mode (no --out/--sharded) the
+// --spill-dir/--spill-budget page the commfree engine's x > 1 derivation
+// rows to disk, bounding peak RSS; its x = 1 chain walk keeps O(1) state
+// and ignores them. In statistics mode (no --out/--sharded) the
 // edges are consumed in-flight through the batched span sink
 // (ParallelOptions::edge_batch_sink), so the run demonstrates streaming
 // consumption without ever materializing the edge list; the report

@@ -6,9 +6,9 @@
 // owner. But every draw of the copy model is a pure function of
 // (seed, t, e, attempt) through DrawSchema, so k's owner knows nothing the
 // asking rank cannot recompute: instead of a <request>/<resolved> round
-// trip, each rank re-derives the remote draw chain locally and memoizes the
-// result. No mailboxes, no dependency-chain wait queues, no messages of any
-// kind — the RankLoad request/resolved counters of a run are identically 0
+// trip, each rank re-derives the remote draw chain locally. No mailboxes,
+// no dependency-chain wait queues, no messages of any kind — the RankLoad
+// request/resolved counters of a run are identically 0
 // (tests/engine_equivalence_test.cpp asserts this; BENCH_engines.json shows
 // it next to the mps volumes).
 //
@@ -24,7 +24,6 @@
 // for x > 1 — for EVERY rank count and partition scheme. This is strictly
 // stronger than the mps engine, whose x > 1 multi-rank edge set depends on
 // message timing (docs/serving.md §5).
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -56,93 +55,26 @@ namespace {
 /// Same duplicate-retry cap as baseline::copy_model_general and XkPolicy.
 constexpr std::uint64_t kMaxAttempts = 100000;
 
-/// x = 1 re-derivation: F_t follows the copy chain t -> k -> k' ... until a
-/// direct draw (or a memoized node) ends it; every node on the walked path
-/// shares the chain's final value, so one walk resolves the whole path.
-///
-/// The memo is purely an accelerator — a chain walk terminates without it,
-/// and every memoized value is the chain's *final* value — so bounding it
-/// cannot change the output. memo_budget_bytes > 0 switches the unbounded
-/// map for a direct-mapped cache of that many bytes (the state_spill
-/// capability for x = 1: bounded RSS at any n, no disk needed; a miss
-/// costs one expected-O(1/p) re-walk).
-class X1Deriver {
- public:
-  X1Deriver(const PaConfig& config, std::uint64_t memo_budget_bytes)
-      : draws_(config) {
-    if (memo_budget_bytes > 0) {
-      // The memo never holds more than n entries, so small graphs get a
-      // right-sized table instead of the whole budget up front.
-      const auto slots = static_cast<std::size_t>(std::min<std::uint64_t>(
-          std::max<std::uint64_t>(memo_budget_bytes / sizeof(Slot), 1),
-          config.n));
-      cache_.assign(slots, Slot{kNil, kNil});
-    } else {
-      memo_.emplace(NodeId{1}, NodeId{0});  // bootstrap edge (1, 0)
-    }
-  }
-
-  [[nodiscard]] NodeId value(NodeId t) {
-    path_.clear();
-    NodeId val = kNil;
-    for (NodeId cur = t;;) {
-      if (lookup(cur, val)) break;
-      const NodeId k = draws_.pick_k(cur, 0, 0);
-      if (draws_.pick_direct(cur, 0, 0)) {
-        val = k;
-        remember(cur, k);
-        break;
-      }
-      path_.push_back(cur);
-      cur = k;  // k in [1, cur-1] and node 1 always hits: the walk terminates
-    }
-    for (const NodeId u : path_) remember(u, val);
-    return val;
-  }
-
- private:
-  struct Slot {
-    NodeId key;
-    NodeId val;
-  };
-
-  bool lookup(NodeId u, NodeId& val) {
-    if (u == 1) {  // bootstrap edge (1, 0) — never evictable
-      val = 0;
-      return true;
-    }
-    if (cache_.empty()) {
-      const auto it = memo_.find(u);
-      if (it == memo_.end()) return false;
-      val = it->second;
-      return true;
-    }
-    const Slot& slot = cache_[slot_index(u)];
-    if (slot.key != u) return false;
-    val = slot.val;
-    return true;
-  }
-
-  void remember(NodeId u, NodeId val) {
-    if (u == 1) return;
-    if (cache_.empty()) {
-      memo_.emplace(u, val);
-    } else {
-      cache_[slot_index(u)] = {u, val};  // direct-mapped: collision evicts
-    }
-  }
-
-  [[nodiscard]] std::size_t slot_index(NodeId u) const {
-    std::uint64_t h = u * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h % cache_.size());
-  }
-
-  DrawSchema draws_;
-  std::unordered_map<NodeId, NodeId> memo_;
-  std::vector<Slot> cache_;
-  std::vector<NodeId> path_;
+/// x = 1 derivation: F_t = F_k on a copy draw, so F_t is the k of the first
+/// direct draw along the copy chain t -> k -> k' ..., and node 1 (F_1 = 0)
+/// ends every chain. Each draw is pure in (seed, node), so the walk keeps no
+/// memo: re-walking a chain costs an expected 1/p draws (Theorem 3.3:
+/// O(log n) w.h.p.), less than a memo lookup that misses DRAM, and the state
+/// is O(1) at any n. The walked node count is |D_t|.
+struct ChainWalk {
+  NodeId value;
+  std::uint32_t length;
 };
+
+ChainWalk walk_chain(const DrawSchema& draws, NodeId t) {
+  std::uint32_t length = 1;
+  for (NodeId cur = t; cur != 1; ++length) {
+    const NodeId k = draws.pick_k(cur, 0, 0);
+    if (draws.pick_direct(cur, 0, 0)) return {k, length};
+    cur = k;  // k in [1, cur-1]: the walk reaches node 1 at the latest
+  }
+  return {0, length};
+}
 
 /// x > 1 re-derivation: whole rows F_u(0..x-1) in the sequential order of
 /// baseline::copy_model_general. A row suspends when its copy path needs a
@@ -325,17 +257,21 @@ void derive_rank(const PaConfig& config, const ParallelOptions& options,
   load.nodes = own;
 
   if (config.x == 1) {
-    X1Deriver derive(config,
-                     options.spill_dir.empty() ? 0 : options.spill_budget_bytes);
+    // spill_dir is accepted but unused: the walk keeps no state to spill.
+    const DrawSchema draws(config);
+    obs::Histogram* chain_hist =
+        ob != nullptr ? &ob->metrics().histogram("pa.chain_length") : nullptr;
     std::vector<NodeId> values;
     if (options.gather_edges) values.assign(own, kNil);
     for (Count idx = 0; idx < own; ++idx) {
       if (idx % options.node_batch == 0) check_cancel();
       const NodeId t = part.node_at(comm.rank(), idx);
       if (t == 0) continue;  // the root has no target
-      const NodeId v = derive.value(t);
-      if (options.gather_edges) values[idx] = v;
-      emit(t, v);
+      const ChainWalk w = walk_chain(draws, t);
+      // The thm33 oracle counts |D_t| for t in [2, n) only.
+      if (chain_hist != nullptr && t >= 2) chain_hist->observe(w.length);
+      if (options.gather_edges) values[idx] = w.value;
+      emit(t, w.value);
     }
     if (options.gather_edges) value_slots[slot] = std::move(values);
   } else {
@@ -405,7 +341,7 @@ class CommFreeEngine final : public Engine {
     if (options.cancel_requested && options.cancel_requested()) {
       throw Cancelled();
     }
-    if (!options.spill_dir.empty()) {
+    if (config.x > 1 && !options.spill_dir.empty()) {
       std::filesystem::create_directories(options.spill_dir);
     }
     obs::RankObserver* drv = genrt::driver_observer(options);

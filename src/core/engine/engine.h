@@ -51,7 +51,8 @@ struct EngineCaps {
   bool delivery_hook = false;    ///< honors the mpsmc schedule-control seam
   bool multi_rank = true;        ///< supports ranks > 1
   /// Honors spill_dir / spill_budget_bytes: per-rank derivation state pages
-  /// to disk under a byte budget, bounding peak RSS at any n
+  /// to disk under a byte budget, bounding peak RSS at any n; an engine
+  /// whose state is already O(1) for a config accepts them as a no-op
   /// (docs/storage.md §5).
   bool state_spill = false;
   Determinism determinism = Determinism::kBitwise;

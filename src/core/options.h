@@ -133,10 +133,11 @@ struct ParallelOptions {
 
   /// Spill per-rank derivation state to files under this directory instead
   /// of holding it all in RAM, bounding peak RSS at any n. Only engines
-  /// with the state_spill capability honor it (commfree: the x = 1 memo
-  /// becomes a bounded cache, x > 1 completed rows page out through
-  /// store::ExternalArray); generate() rejects it elsewhere. Output is
-  /// bitwise-identical with or without spill.
+  /// with the state_spill capability honor it (commfree: x > 1 completed
+  /// rows page out through store::ExternalArray; the x = 1 chain walk has
+  /// O(1) state, so it accepts the option and writes nothing); generate()
+  /// rejects it elsewhere. Output is bitwise-identical with or without
+  /// spill.
   std::string spill_dir;
 
   /// In-RAM bytes each rank's spilled state may cache (>= one page).

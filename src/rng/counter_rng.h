@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "rng/splitmix.h"
+#include "util/error.h"
 
 namespace pagen::rng {
 
@@ -47,11 +48,32 @@ class CounterRng {
 
   /// Unbiased uniform integer in [0, bound), bound >= 1.
   /// Lemire multiply-shift with deterministic rejection rounds.
-  [[nodiscard]] std::uint64_t below(std::uint64_t bound, const Stream& s) const;
+  [[nodiscard]] std::uint64_t below(std::uint64_t bound,
+                                    const Stream& s) const {
+    PAGEN_CHECK_MSG(bound >= 1, "uniform bound must be positive");
+    using u128 = unsigned __int128;
+    std::uint64_t x = raw(s, 0);
+    u128 m = static_cast<u128>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      // Rejection threshold per Lemire (2019): discard the biased low slice.
+      const std::uint64_t threshold = -bound % bound;
+      std::uint64_t round = 1;
+      while (lo < threshold) {
+        x = raw(s, round++);
+        m = static_cast<u128>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Unbiased uniform integer in [lo, hi] (inclusive).
   [[nodiscard]] std::uint64_t range(std::uint64_t lo, std::uint64_t hi,
-                                    const Stream& s) const;
+                                    const Stream& s) const {
+    PAGEN_CHECK_MSG(lo <= hi, "range lower bound exceeds upper bound");
+    return lo + below(hi - lo + 1, s);
+  }
 
   /// Uniform double in [0, 1) with 53 random bits.
   [[nodiscard]] double unit(const Stream& s) const {

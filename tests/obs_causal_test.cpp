@@ -2,7 +2,8 @@
 // oracle: on deterministic x = 1 runs, the chain lengths the instrumented
 // driver records — and the reconstruction from merged per-rank traces —
 // must exactly match baseline::ChainTrace's |D_t| recursion, for every
-// rank count. Plus the zero-cost contract of the disabled path.
+// rank count; so must the commfree engine's chain-walk lengths. Plus the
+// zero-cost contract of the disabled path.
 #include "obs/causal.h"
 
 #include <sstream>
@@ -42,6 +43,22 @@ Histogram merged_chain_lengths(const Session& session) {
   return merged;
 }
 
+/// Count, sum, min, max and every bucket must agree exactly.
+void expect_same_histogram(const Histogram& got, const Histogram& oracle,
+                           int ranks) {
+  EXPECT_EQ(got.count(), oracle.count()) << "ranks " << ranks;
+  EXPECT_EQ(got.sum(), oracle.sum()) << "ranks " << ranks;
+  EXPECT_EQ(got.min(), oracle.min()) << "ranks " << ranks;
+  EXPECT_EQ(got.max(), oracle.max()) << "ranks " << ranks;
+  const auto gb = got.buckets();
+  const auto ob = oracle.buckets();
+  ASSERT_EQ(gb.size(), ob.size()) << "ranks " << ranks;
+  for (std::size_t i = 0; i < gb.size(); ++i) {
+    EXPECT_EQ(gb[i].upper, ob[i].upper) << "ranks " << ranks;
+    EXPECT_EQ(gb[i].count, ob[i].count) << "ranks " << ranks;
+  }
+}
+
 TEST(CausalChains, ExactlyMatchTheorem33OracleAcrossRankCounts) {
   PaConfig pa;
   pa.n = 20000;
@@ -62,18 +79,7 @@ TEST(CausalChains, ExactlyMatchTheorem33OracleAcrossRankCounts) {
     opt.obs = &session;
     (void)core::generate(pa, opt);
 
-    const Histogram got = merged_chain_lengths(session);
-    EXPECT_EQ(got.count(), oracle.count()) << "ranks " << ranks;
-    EXPECT_EQ(got.sum(), oracle.sum()) << "ranks " << ranks;
-    EXPECT_EQ(got.min(), oracle.min()) << "ranks " << ranks;
-    EXPECT_EQ(got.max(), oracle.max()) << "ranks " << ranks;
-    const auto gb = got.buckets();
-    const auto ob = oracle.buckets();
-    ASSERT_EQ(gb.size(), ob.size()) << "ranks " << ranks;
-    for (std::size_t i = 0; i < gb.size(); ++i) {
-      EXPECT_EQ(gb[i].upper, ob[i].upper) << "ranks " << ranks;
-      EXPECT_EQ(gb[i].count, ob[i].count) << "ranks " << ranks;
-    }
+    expect_same_histogram(merged_chain_lengths(session), oracle, ranks);
 
     const ChainReport report = reconstruct_chains(session);
     EXPECT_EQ(report.chain_records, static_cast<Count>(pa.n - 2))
@@ -96,6 +102,30 @@ TEST(CausalChains, ExactlyMatchTheorem33OracleAcrossRankCounts) {
     const std::string json = os.str();
     EXPECT_EQ(JsonLint::check(json), "");
     EXPECT_NE(json.find("\"schema\": \"pagen.chains.v1\""), std::string::npos);
+  }
+}
+
+TEST(CausalChains, CommfreeWalkLengthsMatchTheorem33Oracle) {
+  // commfree's x = 1 chain walk visits exactly D_t, so its recorded walk
+  // lengths are the oracle's |D_t| on any rank count, with no causal mode.
+  PaConfig pa;
+  pa.n = 20000;
+  pa.x = 1;
+  pa.p = 0.5;
+  pa.seed = 33;
+  const Histogram oracle = oracle_histogram(pa);
+
+  for (int ranks : {1, 2, 4, 7}) {
+    Config cfg;
+    cfg.enabled = true;
+    Session session(ranks, cfg);
+    core::ParallelOptions opt;
+    opt.engine = "commfree";
+    opt.ranks = ranks;
+    opt.gather_edges = false;
+    opt.obs = &session;
+    (void)core::generate(pa, opt);
+    expect_same_histogram(merged_chain_lengths(session), oracle, ranks);
   }
 }
 

@@ -1,9 +1,9 @@
 // External-memory spill tests (docs/storage.md §5): the ExternalArray
 // paging primitive, and the commfree engine's guarantee that spilling its
-// derivation state to disk is a pure memory optimization — the emitted
-// edge set is identical with and without spill, at x = 1 (bounded memo)
-// and x > 1 (paged completed rows), under budgets tiny enough to force
-// heavy eviction.
+// derivation state to disk is a pure memory optimization — at x > 1 the
+// emitted edge set is identical with and without spill (paged completed
+// rows) under a budget tiny enough to force heavy eviction; at x = 1 there
+// is no state to spill, and the options are accepted and change nothing.
 #include "store/ext_array.h"
 
 #include <cstdint>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/copy_model_seq.h"
 #include "core/generate.h"
 #include "util/error.h"
 
@@ -92,20 +93,26 @@ core::ParallelOptions commfree_options(int ranks) {
   return opt;
 }
 
-TEST_F(SpillTest, CommfreeSpillIsOutputIdenticalAtXOne) {
+TEST_F(SpillTest, CommfreeWalkMatchesCopyModelAtXOneWithSpillAccepted) {
+  // x = 1 keeps no derivation state, so spill_dir / spill_budget_bytes are
+  // accepted and change nothing: the chain walk reproduces the sequential
+  // copy model exactly, and no spill file is written.
   PaConfig cfg;
   cfg.n = 4000;
   cfg.x = 1;
   cfg.seed = 23;
-  const auto baseline = core::generate(cfg, commfree_options(2));
+  const auto oracle = baseline::copy_model_targets(cfg);
+  const auto oracle_edges = normalized(baseline::copy_model_x1(cfg));
 
-  core::ParallelOptions spilled = commfree_options(2);
-  spilled.spill_dir = dir_;
-  spilled.spill_budget_bytes = 1 << 12;  // bounded memo far below n slots
-  const auto with_spill = core::generate(cfg, spilled);
-
-  EXPECT_EQ(normalized(with_spill.edges), normalized(baseline.edges));
-  EXPECT_EQ(with_spill.targets, baseline.targets);
+  for (int ranks : {1, 3}) {
+    core::ParallelOptions opt = commfree_options(ranks);
+    opt.spill_dir = dir_;
+    opt.spill_budget_bytes = 1;  // one cached page, were there state to page
+    const auto result = core::generate(cfg, opt);
+    EXPECT_EQ(result.targets, oracle) << "ranks " << ranks;
+    EXPECT_EQ(normalized(result.edges), oracle_edges) << "ranks " << ranks;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
 }
 
 TEST_F(SpillTest, CommfreeSpillIsOutputIdenticalAtXFour) {
