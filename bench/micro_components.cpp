@@ -20,11 +20,11 @@
 #include "obs/config.h"
 #include "obs/session.h"
 #include "partition/partition.h"
-#include "graph/varint_io.h"
 #include "rng/counter_rng.h"
 #include "rng/xoshiro.h"
 #include "store/format.h"
 #include "util/harmonic.h"
+#include "util/varint.h"
 
 namespace {
 
@@ -325,8 +325,8 @@ BENCHMARK(BM_DriverPumpCausalOn)->Unit(benchmark::kMillisecond);
 
 // --- Compressed-store codec costs (src/store/, docs/storage.md). These
 // are the per-edge unit costs behind the massive_edges bench: the varint
-// primitive both the legacy edge files and the block codec sit on, and a
-// full block encode+decode round trip including both checksums.
+// primitive (util/varint.h) the block codec sits on, and a full block
+// encode+decode round trip including both checksums.
 
 /// Mixed-width values like the zigzag deltas of a PA emission stream:
 /// mostly small (consecutive own nodes), occasionally large (chain jumps).
@@ -342,7 +342,7 @@ void BM_VarintEncode(benchmark::State& state) {
   std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
     bytes.clear();
-    for (const std::uint64_t v : values) graph::put_varint(bytes, v);
+    for (const std::uint64_t v : values) put_varint(bytes, v);
     benchmark::DoNotOptimize(bytes.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -353,11 +353,11 @@ BENCHMARK(BM_VarintEncode)->Arg(65536);
 void BM_VarintDecode(benchmark::State& state) {
   const auto values = varint_corpus(static_cast<std::size_t>(state.range(0)));
   std::vector<std::uint8_t> bytes;
-  for (const std::uint64_t v : values) graph::put_varint(bytes, v);
+  for (const std::uint64_t v : values) put_varint(bytes, v);
   for (auto _ : state) {
     std::size_t pos = 0;
     std::uint64_t sum = 0;
-    while (pos < bytes.size()) sum += graph::get_varint(bytes, pos);
+    while (pos < bytes.size()) sum += get_varint(bytes, pos);
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

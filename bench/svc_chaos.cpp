@@ -38,6 +38,7 @@
 #include "rng/splitmix.h"
 #include "svc/server.h"
 #include "util/cli.h"
+#include "util/hash.h"
 #include "util/timer.h"
 
 namespace {
@@ -48,16 +49,12 @@ using namespace pagen;
 /// tests/genrt_golden_test.cpp and svc_throughput).
 std::uint64_t hash_edges(graph::EdgeList edges) {
   graph::normalize(edges);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a h;
   for (const graph::Edge& e : edges) {
-    for (const std::uint64_t w : {e.u, e.v}) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (w >> (8 * i)) & 0xffU;
-        h *= 0x100000001b3ULL;
-      }
-    }
+    h.word(e.u);
+    h.word(e.v);
   }
-  return h;
+  return h.digest();
 }
 
 /// Fault-free golden hashes, memoized by spec identity (the robustness
@@ -297,13 +294,13 @@ int main(int argc, char** argv) {
   }
 
   // --- Store integrity segment: write, rot, quarantine, regenerate ---
-  // Sharded-store producers run under storecorrupt chaos; each store is
+  // Compressed-store producers run under storecorrupt chaos; each store is
   // then consumed twice via the probe path, which must quarantine a rotted
   // store and regenerate rather than serve poison.
   for (std::uint64_t s = 0; s < stores; ++s) {
     svc::JobSpec produce = make_spec(scale / 2, s, 200 + s);
     produce.max_attempts = attempts;
-    produce.sink = svc::Sink::kShardedStore;
+    produce.sink = svc::Sink::kCompressedStore;
     produce.store_dir = store_root + "/s" + std::to_string(s);
     (void)submit_tracked(produce);
   }

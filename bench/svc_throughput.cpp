@@ -33,6 +33,7 @@
 #include "rng/splitmix.h"
 #include "svc/server.h"
 #include "util/cli.h"
+#include "util/hash.h"
 #include "util/timer.h"
 
 namespace {
@@ -43,16 +44,12 @@ using namespace pagen;
 /// (same construction as tests/genrt_golden_test.cpp).
 std::uint64_t hash_edges(graph::EdgeList edges) {
   graph::normalize(edges);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a h;
   for (const graph::Edge& e : edges) {
-    for (const std::uint64_t w : {e.u, e.v}) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (w >> (8 * i)) & 0xffU;
-        h *= 0x100000001b3ULL;
-      }
-    }
+    h.word(e.u);
+    h.word(e.v);
   }
-  return h;
+  return h.digest();
 }
 
 /// Direct-generate golden hash for a spec, computed (and memoized) with the

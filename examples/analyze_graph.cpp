@@ -1,9 +1,9 @@
-// Graph analyzer CLI: load an edge list (binary, text, or a sharded
-// directory) — or generate a demo PA network if no input is given — and
-// print the full structural report.
+// Graph analyzer CLI: load an edge list ("u v" text rows, or a compressed
+// store directory) — or generate a demo PA network if no input is given —
+// and print the full structural report.
 //
-//   ./analyze_graph --in=edges.bin
-//   ./analyze_graph --shards=/path/to/shard/dir
+//   ./analyze_graph --in=edges.txt
+//   ./analyze_graph --shards=/tmp/pcs   # a massive_generation --store-dir
 //   ./analyze_graph            # self-generates a 100k-node demo network
 #include <fstream>
 #include <iostream>
@@ -14,14 +14,14 @@
 #include "graph/csr.h"
 #include "graph/io.h"
 #include "graph/metrics.h"
-#include "graph/sharded_io.h"
+#include "store/graph_view.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace pagen;
-  const Cli cli(argc, argv, {"in", "shards", "format", "n", "x", "seed"});
+  const Cli cli(argc, argv, {"in", "shards", "n", "x", "seed"});
   if (cli.help()) {
     std::cout << cli.usage("analyze_graph") << "\n";
     return 0;
@@ -31,22 +31,18 @@ int main(int argc, char** argv) {
   const std::string in = cli.get_str("in", "");
   const std::string shards = cli.get_str("shards", "");
   if (!in.empty()) {
-    if (cli.get_str("format", "binary") == "text") {
-      std::ifstream is(in);
-      if (!is.is_open()) {
-        std::cerr << "cannot open " << in << "\n";
-        return 1;
-      }
-      edges = graph::read_text(is);
-    } else {
-      edges = graph::load_binary(in);
+    std::ifstream is(in);
+    if (!is.is_open()) {
+      std::cerr << "cannot open " << in << "\n";
+      return 1;
     }
+    edges = graph::read_text(is);
     std::cout << "loaded " << fmt_count(edges.size()) << " edges from " << in
               << "\n";
   } else if (!shards.empty()) {
-    edges = graph::load_all_shards(shards);
+    edges = store::ShardedGraphView(shards).load_all();
     std::cout << "loaded " << fmt_count(edges.size())
-              << " edges from sharded store " << shards << "\n";
+              << " edges from compressed store " << shards << "\n";
   } else {
     PaConfig cfg;
     cfg.n = cli.get_u64("n", 100000);

@@ -1,7 +1,8 @@
-// Distributed end-to-end pipeline: generate with per-rank shards, persist
-// them as a sharded store (the paper's independent-file-writes model),
-// compute degree distribution and connected components WITHOUT gathering
-// the edges, then reload the store and cross-check centrally.
+// Distributed end-to-end pipeline: generate straight into a compressed
+// store, each rank writing its own shard (the paper's independent
+// file-writes model), compute degree distribution and connected components
+// over the per-shard streams WITHOUT gathering the edges, then reload the
+// store centrally and cross-check.
 //
 //   ./distributed_pipeline --n=500000 --x=4 --ranks=8 --dir=/tmp/pagen_store
 #include <filesystem>
@@ -12,7 +13,7 @@
 #include "core/distributed_degree.h"
 #include "core/generate.h"
 #include "graph/edge_list.h"
-#include "graph/sharded_io.h"
+#include "store/graph_view.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -31,39 +32,35 @@ int main(int argc, char** argv) {
   core::ParallelOptions opt;
   opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
   opt.gather_edges = false;
-  opt.keep_shards = true;
-  const std::string dir = cli.get_str(
+  opt.store_dir = cli.get_str(
       "dir",
       (std::filesystem::temp_directory_path() / "pagen_pipeline_store")
           .string());
+  const std::string& dir = opt.store_dir;
 
-  // 1. Generate; each rank keeps its own edges.
+  // 1. Generate; each rank streams its edges into its own store shard.
   Timer timer;
   const auto result = core::generate(cfg, opt);
   std::cout << "1. generated " << fmt_count(result.total_edges)
-            << " edges across " << opt.ranks << " rank shards in "
+            << " edges into " << opt.ranks << " shards of compressed store "
+            << dir << " (" << fmt_count(result.store_bytes) << " bytes) in "
             << fmt_f(timer.seconds(), 2) << " s\n";
 
-  // 2. Persist shards independently + manifest.
+  // 2. Distributed analytics over the per-shard streams.
   timer.restart();
-  graph::save_sharded(dir, cfg.n, result.shards);
-  std::cout << "2. wrote sharded store " << dir << " in "
-            << fmt_f(timer.seconds(), 2) << " s\n";
-
-  // 3. Distributed analytics straight off the in-memory shards.
-  timer.restart();
-  const auto hist = core::distributed_degree_distribution(
-      result.shards, cfg.n, opt.scheme);
-  const auto cc = core::distributed_connected_components(result.shards, cfg.n,
-                                                         opt.scheme);
-  std::cout << "3. distributed analytics in " << fmt_f(timer.seconds(), 2)
+  const store::ShardedGraphView view(dir);
+  const auto hist =
+      core::distributed_degree_distribution(view.edge_source(), opt.scheme);
+  const auto cc =
+      core::distributed_connected_components(view.edge_source(), opt.scheme);
+  std::cout << "2. distributed analytics in " << fmt_f(timer.seconds(), 2)
             << " s: " << hist.size() << " distinct degrees, "
             << cc.components << " component(s) in " << cc.rounds
             << " label rounds\n";
 
-  // 4. Reload the store centrally and cross-check.
+  // 3. Reload the store centrally and cross-check.
   timer.restart();
-  const auto reloaded = graph::load_all_shards(dir);
+  const auto reloaded = view.load_all();
   const auto deg = graph::degree_sequence(reloaded, cfg.n);
   const auto central = analysis::degree_distribution(deg);
   bool match = central.size() == hist.size();
@@ -71,7 +68,7 @@ int main(int argc, char** argv) {
     match = central[i].degree == hist[i].first &&
             central[i].count == hist[i].second;
   }
-  std::cout << "4. reloaded " << fmt_count(reloaded.size())
+  std::cout << "3. reloaded " << fmt_count(reloaded.size())
             << " edges and cross-checked in " << fmt_f(timer.seconds(), 2)
             << " s: distributed histogram "
             << (match ? "MATCHES" : "DIFFERS FROM")

@@ -2,10 +2,9 @@
 //
 // The introduction's point in one program: ER graphs do not exhibit the
 // heavy-tailed structure of real complex networks, PA graphs do. Generates
-// both at matched size/density, persists them, reloads, and contrasts their
-// structure.
+// both at matched size/density, persists them as compressed stores
+// (src/store/), reloads, and contrasts their structure.
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
 
@@ -14,7 +13,8 @@
 #include "baseline/er_gen.h"
 #include "core/generate.h"
 #include "graph/csr.h"
-#include "graph/io.h"
+#include "store/edge_writer.h"
+#include "store/graph_view.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -29,10 +29,16 @@ int main(int argc, char** argv) {
   cfg.n = cli.get_u64("n", 100000);
   cfg.x = cli.get_u64("x", 4);
   cfg.seed = cli.get_u64("seed", 8);
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string pa_dir = (dir / "pagen_pipeline_pa").string();
+  const std::string er_dir = (dir / "pagen_pipeline_er").string();
   core::ParallelOptions opt;
   opt.ranks = static_cast<int>(cli.get_u64("ranks", 4));
+  opt.gather_edges = false;
+  opt.store_dir = pa_dir;
 
-  // PA network via the distributed generator.
+  // PA network via the distributed generator, each rank streaming its
+  // edges into its own shard of the store.
   const auto pa = core::generate(cfg, opt);
 
   // ER network with the same expected number of edges.
@@ -43,16 +49,14 @@ int main(int argc, char** argv) {
   er_cfg.seed = cfg.seed;
   const auto er = baseline::erdos_renyi(er_cfg);
 
-  // Persist + reload both (round-trip through the binary format).
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string pa_path = (dir / "pagen_pipeline_pa.bin").string();
-  const std::string er_path = (dir / "pagen_pipeline_er.bin").string();
-  graph::save_binary(pa_path, pa.edges);
-  graph::save_binary(er_path, er);
-  const auto pa_edges = graph::load_binary(pa_path);
-  const auto er_edges = graph::load_binary(er_path);
-  std::remove(pa_path.c_str());
-  std::remove(er_path.c_str());
+  // Persist ER as a one-shard store, then reload both.
+  store::StoreWriter er_writer(er_dir, 1, store::kDefaultBlockEdges);
+  er_writer.append(0, er);
+  er_writer.finish(cfg.n);
+  const auto pa_edges = store::ShardedGraphView(pa_dir).load_all();
+  const auto er_edges = store::ShardedGraphView(er_dir).load_all();
+  std::filesystem::remove_all(pa_dir);
+  std::filesystem::remove_all(er_dir);
 
   const auto deg_pa = graph::degree_sequence(pa_edges, cfg.n);
   const auto deg_er = graph::degree_sequence(er_edges, cfg.n);

@@ -1,24 +1,22 @@
 // Massive-generation CLI: the tool a user actually runs to produce a
 // scale-free edge list on disk (Section 4.5 as a utility).
 //
-//   ./massive_generation --n=5000000 --x=4 --ranks=8 --out=/tmp/edges.bin
-//   ./massive_generation --n=5000000 --sharded=/tmp/edge_store
+//   ./massive_generation --n=5000000 --x=4 --ranks=8 --store-dir=/tmp/pcs
 //   ./massive_generation --n=5000000 --engine=commfree   # zero-message run
 //   ./massive_generation --n=1000000000 --x=1 --engine=commfree
 //       --store-dir=/tmp/pcs --store-budget=$((8<<30))  # out-of-core store
+//   ./massive_generation --n=200000 --out=/tmp/edges.txt  # text for tools
 //   ./massive_generation --fault-plan=seed=7,drop=0.01 --checkpoint-dir=/tmp/ck
 //
-// Writes the checksummed binary edge format of graph/io.h (text with
-// --format=text, delta-varint compression with --format=varint), or a
-// per-rank sharded store with --sharded=DIR (the paper's independent
-// file-writes model), and prints throughput. --store-dir=DIR streams the
-// edges into the compressed block store (src/store/, docs/storage.md)
-// without gathering them — combinable with any mode — and the finished
-// store is verified by re-opening it under --store-budget bytes.
-// --spill-dir/--spill-budget page the commfree engine's x > 1 derivation
-// rows to disk, bounding peak RSS; its x = 1 chain walk keeps O(1) state
-// and ignores them. In statistics mode (no --out/--sharded) the
-// edges are consumed in-flight through the batched span sink
+// --store-dir=DIR is the persisted form: each rank streams its edges into
+// its own shard of the compressed block store (src/store/,
+// docs/storage.md) without gathering them — the paper's independent
+// file-writes model — and the finished store is verified by re-opening it
+// under --store-budget bytes. --out=PATH gathers the edges and writes them
+// as "u v" text rows for external tools. --spill-dir/--spill-budget page
+// the commfree engine's x > 1 derivation rows to disk, bounding peak RSS;
+// its x = 1 chain walk keeps O(1) state and ignores them. Without --out
+// the edges are consumed in-flight through the batched span sink
 // (ParallelOptions::edge_batch_sink), so the run demonstrates streaming
 // consumption without ever materializing the edge list; the report
 // includes the process's peak RSS (VmHWM) to make the memory claim
@@ -34,8 +32,6 @@
 #include "core/generate.h"
 #include "core/robustness_cli.h"
 #include "graph/io.h"
-#include "graph/sharded_io.h"
-#include "graph/varint_io.h"
 #include "obs/config.h"
 #include "obs/session.h"
 #include "store/graph_view.h"
@@ -47,10 +43,9 @@
 int main(int argc, char** argv) {
   using namespace pagen;
   std::vector<std::string> keys{
-      "n",       "x",         "ranks",        "seed",
-      "scheme",  "out",       "format",       "p",
-      "sharded", "store-dir", "store-budget", "store-block-edges",
-      "spill-dir", "spill-budget"};
+      "n",         "x",           "ranks",        "seed",
+      "scheme",    "out",         "p",            "store-dir",
+      "store-budget", "store-block-edges", "spill-dir", "spill-budget"};
   for (const std::string& k : core::engine_cli_keys()) keys.push_back(k);
   for (const std::string& k : core::robustness_cli_keys()) keys.push_back(k);
   for (const std::string& k : obs::cli_keys()) keys.push_back(k);
@@ -68,10 +63,7 @@ int main(int argc, char** argv) {
   opt.ranks = static_cast<int>(cli.get_u64("ranks", 8));
   opt.scheme = partition::scheme_from_string(cli.get_str("scheme", "RRP"));
   const std::string out = cli.get_str("out", "");
-  const std::string sharded = cli.get_str("sharded", "");
-  const std::string format = cli.get_str("format", "binary");
   opt.gather_edges = !out.empty();
-  opt.keep_shards = !sharded.empty();
   opt.store_dir = cli.get_str("store-dir", "");
   opt.store_block_edges = cli.get_u64("store-block-edges", 65536);
   opt.spill_dir = cli.get_str("spill-dir", "");
@@ -91,14 +83,13 @@ int main(int argc, char** argv) {
     opt.obs = &*session;
   }
 
-  // Statistics mode: no gather, no shards — stream the edges through the
-  // batched span sink instead. Each rank thread owns its slot, so the
-  // order-insensitive checksum (sum of per-edge mixes) needs no locking and
-  // is independent of emission order.
-  const bool streaming = out.empty() && sharded.empty();
+  // Statistics mode: no gather — stream the edges through the batched
+  // span sink instead (alongside the store, when one is written). Each rank
+  // thread owns its slot, so the order-insensitive checksum (sum of
+  // per-edge mixes) needs no locking and is independent of emission order.
   std::vector<std::uint64_t> rank_sums;
   std::vector<Count> rank_edges;
-  if (streaming) {
+  if (out.empty()) {
     rank_sums.assign(static_cast<std::size_t>(opt.ranks), 0);
     rank_edges.assign(static_cast<std::size_t>(opt.ranks), 0);
     opt.edge_batch_sink = [&rank_sums, &rank_edges](
@@ -160,25 +151,14 @@ int main(int argc, char** argv) {
 
   if (!out.empty()) {
     Timer io_timer;
-    if (format == "text") {
-      std::ofstream os(out);
-      if (!os.is_open()) {
-        std::cerr << "cannot open " << out << " for writing\n";
-        return 1;
-      }
-      graph::write_text(os, result.edges);
-    } else if (format == "varint") {
-      graph::save_varint(out, result.edges);
-    } else {
-      graph::save_binary(out, result.edges);
+    std::ofstream os(out);
+    if (!os.is_open()) {
+      std::cerr << "cannot open " << out << " for writing\n";
+      return 1;
     }
-    std::cout << "wrote " << out << " (" << format << ") in "
+    graph::write_text(os, result.edges);
+    std::cout << "wrote " << out << " (text) in "
               << fmt_f(io_timer.seconds(), 2) << " s\n";
-  } else if (!sharded.empty()) {
-    Timer io_timer;
-    graph::save_sharded(sharded, cfg.n, result.shards);
-    std::cout << "wrote sharded store " << sharded << " (" << opt.ranks
-              << " shards) in " << fmt_f(io_timer.seconds(), 2) << " s\n";
   } else {
     const std::uint64_t checksum =
         std::accumulate(rank_sums.begin(), rank_sums.end(), std::uint64_t{0});
@@ -189,10 +169,12 @@ int main(int argc, char** argv) {
               << opt.edge_batch_capacity << "), order-insensitive checksum 0x"
               << std::hex << checksum << std::dec << "\n"
               << "peak RSS " << fmt_count(peak_rss_bytes() >> 20)
-              << " MiB (VmHWM)\n"
-              << "(pass --out=PATH to persist the edge list; generation ran\n"
-              << " without gathering, like the paper's timed runs, which\n"
-              << " exclude disk I/O)\n";
+              << " MiB (VmHWM)\n";
+    if (opt.store_dir.empty()) {
+      std::cout << "(pass --store-dir=DIR to persist the edges; generation\n"
+                << " ran without gathering, like the paper's timed runs,\n"
+                << " which exclude disk I/O)\n";
+    }
   }
   return 0;
 }

@@ -22,8 +22,8 @@ if ! python3 ./scripts/pagen-lint --self-test; then
   status=1
 fi
 
-echo "== pagen-lint src =="
-if ! python3 ./scripts/pagen-lint src; then
+echo "== pagen-lint src bench examples tools =="
+if ! python3 ./scripts/pagen-lint src bench examples tools; then
   status=1
 fi
 

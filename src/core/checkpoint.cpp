@@ -1,9 +1,12 @@
 #include "core/checkpoint.h"
 
 #include <filesystem>
+#include <span>
 
-#include "graph/varint_io.h"
 #include "util/error.h"
+#include "util/file_bytes.h"
+#include "util/hash.h"
+#include "util/varint.h"
 
 namespace pagen::core {
 namespace {
@@ -21,16 +24,6 @@ constexpr std::size_t kChecksumBytes = 8;
 constexpr std::uint64_t encode_f(NodeId v) { return v == kNil ? 0 : v + 1; }
 constexpr NodeId decode_f(std::uint64_t raw) {
   return raw == 0 ? kNil : static_cast<NodeId>(raw - 1);
-}
-
-/// FNV-1a over the payload bytes (same constants as svc::job's spec hash).
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 void append_u64_le(std::vector<std::uint8_t>& buf, std::uint64_t v) {
@@ -70,54 +63,55 @@ void save_checkpoint(const std::string& dir, const RankCheckpoint& ck) {
   std::filesystem::create_directories(dir);
   std::vector<std::uint8_t> buf;
   buf.reserve(24 + ck.f.size() * 2);
-  graph::put_varint(buf, kMagic);
-  graph::put_varint(buf, ck.n);
-  graph::put_varint(buf, ck.x);
-  graph::put_varint(buf, ck.seed);
-  graph::put_varint(buf, static_cast<std::uint64_t>(ck.rank));
-  graph::put_varint(buf, static_cast<std::uint64_t>(ck.nranks));
-  graph::put_varint(buf, ck.f.size());
-  for (const NodeId v : ck.f) graph::put_varint(buf, encode_f(v));
-  graph::put_varint(buf, ck.attempts.size());
-  for (const std::uint32_t a : ck.attempts) graph::put_varint(buf, a);
-  graph::put_varint(buf, ck.locked_copy.size());
-  for (const std::uint8_t l : ck.locked_copy) graph::put_varint(buf, l);
-  append_u64_le(buf, fnv1a(buf.data(), buf.size()));
-  graph::save_bytes_atomic(checkpoint_path(dir, ck.rank), buf);
+  put_varint(buf, kMagic);
+  put_varint(buf, ck.n);
+  put_varint(buf, ck.x);
+  put_varint(buf, ck.seed);
+  put_varint(buf, static_cast<std::uint64_t>(ck.rank));
+  put_varint(buf, static_cast<std::uint64_t>(ck.nranks));
+  put_varint(buf, ck.f.size());
+  for (const NodeId v : ck.f) put_varint(buf, encode_f(v));
+  put_varint(buf, ck.attempts.size());
+  for (const std::uint32_t a : ck.attempts) put_varint(buf, a);
+  put_varint(buf, ck.locked_copy.size());
+  for (const std::uint8_t l : ck.locked_copy) put_varint(buf, l);
+  append_u64_le(buf, fnv1a(buf));
+  save_bytes_atomic(checkpoint_path(dir, ck.rank), buf);
 }
 
 bool load_checkpoint(const std::string& dir, Rank rank, RankCheckpoint& out) {
   std::vector<std::uint8_t> buf;
-  if (!graph::try_load_bytes(checkpoint_path(dir, rank), buf)) return false;
+  if (!try_load_bytes(checkpoint_path(dir, rank), buf)) return false;
   // Verify the content checksum before parsing a single field: a truncated,
   // extended, or bit-flipped file fails here, never restores garbage.
   PAGEN_CHECK_MSG(buf.size() > kChecksumBytes,
                   "checkpoint for rank " << rank << " is too short");
   const std::size_t payload = buf.size() - kChecksumBytes;
-  PAGEN_CHECK_MSG(fnv1a(buf.data(), payload) == read_u64_le(buf.data() + payload),
+  PAGEN_CHECK_MSG(fnv1a(std::span(buf).first(payload)) ==
+                      read_u64_le(buf.data() + payload),
                   "checkpoint checksum mismatch for rank " << rank);
   const std::vector<std::uint8_t> body(buf.begin(),
                                        buf.begin() + static_cast<std::ptrdiff_t>(payload));
   std::size_t pos = 0;
-  PAGEN_CHECK_MSG(graph::get_varint(body, pos) == kMagic,
+  PAGEN_CHECK_MSG(get_varint(body, pos) == kMagic,
                   "bad checkpoint magic for rank " << rank);
-  out.n = graph::get_varint(body, pos);
-  out.x = graph::get_varint(body, pos);
-  out.seed = graph::get_varint(body, pos);
-  out.rank = static_cast<std::int32_t>(graph::get_varint(body, pos));
-  out.nranks = static_cast<std::int32_t>(graph::get_varint(body, pos));
+  out.n = get_varint(body, pos);
+  out.x = get_varint(body, pos);
+  out.seed = get_varint(body, pos);
+  out.rank = static_cast<std::int32_t>(get_varint(body, pos));
+  out.nranks = static_cast<std::int32_t>(get_varint(body, pos));
   PAGEN_CHECK_MSG(out.rank == rank, "checkpoint rank mismatch");
-  out.f.resize(checked_count(body, pos, graph::get_varint(body, pos), rank));
-  for (NodeId& v : out.f) v = decode_f(graph::get_varint(body, pos));
+  out.f.resize(checked_count(body, pos, get_varint(body, pos), rank));
+  for (NodeId& v : out.f) v = decode_f(get_varint(body, pos));
   out.attempts.resize(
-      checked_count(body, pos, graph::get_varint(body, pos), rank));
+      checked_count(body, pos, get_varint(body, pos), rank));
   for (std::uint32_t& a : out.attempts) {
-    a = static_cast<std::uint32_t>(graph::get_varint(body, pos));
+    a = static_cast<std::uint32_t>(get_varint(body, pos));
   }
   out.locked_copy.resize(
-      checked_count(body, pos, graph::get_varint(body, pos), rank));
+      checked_count(body, pos, get_varint(body, pos), rank));
   for (std::uint8_t& l : out.locked_copy) {
-    l = static_cast<std::uint8_t>(graph::get_varint(body, pos));
+    l = static_cast<std::uint8_t>(get_varint(body, pos));
   }
   PAGEN_CHECK_MSG(pos == body.size(),
                   "trailing bytes in checkpoint for rank " << rank);

@@ -8,8 +8,8 @@
 // respawned rank replays its unresolved slots (re-issuing requests), and a
 // kTagRecover broadcast makes peers re-offer every request they still wait
 // on (docs/robustness.md §3). Files are written atomically via
-// graph::save_bytes_atomic so a crash mid-write never leaves a torn
-// checkpoint, serialized with the same varint coder as the edge files, and
+// save_bytes_atomic (util/file_bytes.h) so a crash mid-write never leaves a
+// torn checkpoint, serialized with the varint coder of util/varint.h, and
 // sealed with an FNV-1a content checksum verified before any field is
 // parsed — a truncated, extended, or bit-flipped file raises CheckError
 // instead of silently restoring garbage.

@@ -44,25 +44,10 @@
 #include "mps/modelcheck.h"
 #include "obs/session.h"
 #include "partition/partition.h"
+#include "util/hash.h"
 #include "util/types.h"
 
 namespace pagen::core::mc {
-
-/// FNV-1a over little-endian 64-bit words — the same convention the golden
-/// pinning suite uses, so hashes are comparable across both.
-class Fnv1a {
- public:
-  void word(std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (w >> (8 * i)) & 0xffU;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t digest() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 [[nodiscard]] inline std::uint64_t hash_targets(
     const std::vector<NodeId>& targets) {

@@ -73,8 +73,10 @@ struct ParallelOptions {
   bool gather_edges = true;
 
   /// Also return each rank's local edges separately (ParallelResult::shards)
-  /// — the input format of sharded persistence (graph/sharded_io.h) and of
-  /// the distributed analytics passes (core/distributed_degree.h).
+  /// — the in-memory input of the distributed analytics passes
+  /// (core/distributed_degree.h). To persist per-rank shards, set
+  /// store_dir instead: the compressed store writes them without keeping
+  /// them in memory.
   bool keep_shards = false;
 
   /// Observability session (src/obs/). Non-owning; must have at least

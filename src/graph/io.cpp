@@ -1,31 +1,13 @@
-// pagen-lint: legacy-edge-io — the pre-store flat binary format; new
-// on-disk edge bytes go through src/store/ (docs/storage.md).
 #include "graph/io.h"
 
-#include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "util/error.h"
 
 namespace pagen::graph {
-namespace {
-
-constexpr char kMagic[8] = {'P', 'A', 'G', 'E', 'N', 'E', 'L', '1'};
-
-std::uint64_t fnv1a(const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 void write_text(std::ostream& os, std::span<const Edge> edges) {
   for (const Edge& e : edges) {
@@ -45,50 +27,6 @@ EdgeList read_text(std::istream& is) {
     edges.push_back(e);
   }
   return edges;
-}
-
-void write_binary(std::ostream& os, std::span<const Edge> edges) {
-  os.write(kMagic, sizeof(kMagic));
-  const std::uint64_t count = edges.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  static_assert(sizeof(Edge) == 2 * sizeof(NodeId));
-  os.write(reinterpret_cast<const char*>(edges.data()),
-           static_cast<std::streamsize>(edges.size_bytes()));
-  const std::uint64_t checksum = fnv1a(edges.data(), edges.size_bytes());
-  os.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  PAGEN_CHECK_MSG(os.good(), "binary edge write failed");
-}
-
-EdgeList read_binary(std::istream& is) {
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  PAGEN_CHECK_MSG(is.good() && std::memcmp(magic, kMagic, sizeof(magic)) == 0,
-                  "bad edge-file magic");
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  PAGEN_CHECK(is.good());
-  EdgeList edges(count);
-  is.read(reinterpret_cast<char*>(edges.data()),
-          static_cast<std::streamsize>(count * sizeof(Edge)));
-  PAGEN_CHECK_MSG(is.good(), "truncated edge file");
-  std::uint64_t checksum = 0;
-  is.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  PAGEN_CHECK_MSG(is.good(), "missing edge-file checksum");
-  PAGEN_CHECK_MSG(checksum == fnv1a(edges.data(), count * sizeof(Edge)),
-                  "edge-file checksum mismatch");
-  return edges;
-}
-
-void save_binary(const std::string& path, std::span<const Edge> edges) {
-  std::ofstream os(path, std::ios::binary);
-  PAGEN_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  write_binary(os, edges);
-}
-
-EdgeList load_binary(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  PAGEN_CHECK_MSG(is.is_open(), "cannot open " << path << " for reading");
-  return read_binary(is);
 }
 
 }  // namespace pagen::graph

@@ -1,13 +1,9 @@
-// Edge-list serialization: text ("u v" rows) and a checksummed binary format.
-//
-// The paper's processors "read-write data files from the same external
-// memory ... independently"; the binary writer supports appending per-rank
-// shards and concatenating them, so each rank can persist its local edges
-// without coordination.
+// Text edge-list interchange: "u v" rows, for feeding external tools and
+// reading their output. Not a store — persisted edges go through the
+// compressed block store of src/store/ (docs/storage.md).
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "graph/edge_list.h"
 
@@ -18,17 +14,5 @@ void write_text(std::ostream& os, std::span<const Edge> edges);
 
 /// Parse "u v" rows; ignores blank lines and lines starting with '#'.
 [[nodiscard]] EdgeList read_text(std::istream& is);
-
-/// Binary format: 8-byte magic, u64 edge count, packed (u64, u64) edges,
-/// u64 FNV-1a checksum over the edge bytes.
-void write_binary(std::ostream& os, std::span<const Edge> edges);
-
-/// Read the binary format; throws CheckError on a magic/size/checksum
-/// mismatch (a truncated shard must never silently load).
-[[nodiscard]] EdgeList read_binary(std::istream& is);
-
-/// Convenience file wrappers.
-void save_binary(const std::string& path, std::span<const Edge> edges);
-[[nodiscard]] EdgeList load_binary(const std::string& path);
 
 }  // namespace pagen::graph

@@ -3,8 +3,8 @@
 #include <filesystem>
 #include <sstream>
 
-#include "graph/varint_io.h"
 #include "util/error.h"
+#include "util/file_bytes.h"
 
 namespace pagen::store {
 
@@ -28,9 +28,8 @@ void write_manifest(const std::string& dir, const StoreManifest& manifest) {
        << " " << std::hex << s.file_checksum << std::dec << "\n";
   }
   const std::string text = os.str();
-  graph::save_bytes_atomic(
-      manifest_path(dir),
-      std::vector<std::uint8_t>(text.begin(), text.end()));
+  save_bytes_atomic(manifest_path(dir),
+                    std::vector<std::uint8_t>(text.begin(), text.end()));
 }
 
 StoreManifest load_manifest(const std::string& dir) {
@@ -62,10 +61,6 @@ StoreManifest load_manifest(const std::string& dir) {
                     "malformed manifest: shard " << r);
   }
   return manifest;
-}
-
-bool is_compressed_store(const std::string& dir) {
-  return std::ifstream(manifest_path(dir)).is_open();
 }
 
 bool streaming_file_fnv1a(const std::string& path, std::uint64_t& out) {

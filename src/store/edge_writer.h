@@ -68,9 +68,6 @@ void write_manifest(const std::string& dir, const StoreManifest& manifest);
 /// malformed.
 [[nodiscard]] StoreManifest load_manifest(const std::string& dir);
 
-/// True when `dir` holds a v3 compressed-store manifest.
-[[nodiscard]] bool is_compressed_store(const std::string& dir);
-
 /// Streaming FNV-1a of a file's raw bytes in fixed-size chunks (never loads
 /// the file); false when it cannot be opened.
 [[nodiscard]] bool streaming_file_fnv1a(const std::string& path,

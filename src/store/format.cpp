@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "graph/varint_io.h"
 #include "util/error.h"
+#include "util/varint.h"
 
 namespace pagen::store {
 namespace {
@@ -55,12 +55,12 @@ BlockHeader encode_block(std::span<const graph::Edge> edges,
   for (std::size_t i = 1; i < edges.size(); ++i) {
     const graph::Edge& e = edges[i];
     const auto du = static_cast<std::int64_t>(e.u - prev_u);
-    graph::put_varint(payload, zigzag_encode(du));
+    put_varint(payload, zigzag_encode(du));
     if (du == 0) {
-      graph::put_varint(payload,
-                        zigzag_encode(static_cast<std::int64_t>(e.v - prev_v)));
+      put_varint(payload,
+                 zigzag_encode(static_cast<std::int64_t>(e.v - prev_v)));
     } else {
-      graph::put_varint(payload, e.v);
+      put_varint(payload, e.v);
     }
     prev_u = e.u;
     prev_v = e.v;
@@ -83,14 +83,13 @@ void decode_block(const BlockHeader& header,
   NodeId prev_v = header.first_v;
   std::size_t pos = 0;
   for (std::uint32_t i = 1; i < header.edge_count; ++i) {
-    const std::int64_t du =
-        zigzag_decode(graph::get_varint(payload, pos));
+    const std::int64_t du = zigzag_decode(get_varint(payload, pos));
     const NodeId u = prev_u + static_cast<NodeId>(du);
     const NodeId v =
         du == 0
             ? prev_v + static_cast<NodeId>(
-                           zigzag_decode(graph::get_varint(payload, pos)))
-            : static_cast<NodeId>(graph::get_varint(payload, pos));
+                           zigzag_decode(get_varint(payload, pos)))
+            : static_cast<NodeId>(get_varint(payload, pos));
     out.push_back({u, v});
     prev_u = u;
     prev_v = v;

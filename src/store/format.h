@@ -19,10 +19,11 @@
 //
 // Integrity: the header carries an FNV-1a checksum of the payload AND of
 // its own first 32 bytes (domain-separated from the trailer checksum, so a
-// trailer can never masquerade as a header). The trailer chains every
-// block's header checksum, which pins block count, order, and content of
-// the whole shard. decode bounds-checks edge_count/payload_bytes *before*
-// allocating, so a forged header raises instead of driving a giant read.
+// trailer can never masquerade as a header; hash and seeds: util/hash.h).
+// The trailer chains every block's header checksum, which pins block
+// count, order, and content of the whole shard. decode bounds-checks
+// edge_count/payload_bytes *before* allocating, so a forged header raises
+// instead of driving a giant read.
 #pragma once
 
 #include <cstdint>
@@ -30,44 +31,14 @@
 #include <vector>
 
 #include "graph/edge_list.h"
+#include "util/hash.h"
 #include "util/types.h"
 
 namespace pagen::store {
 
-inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// FNV-1a over `bytes`, continuing from `h` (chainable).
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                            std::uint64_t h = kFnvOffset) {
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// Fold one little-endian u64 into an FNV-1a chain (the trailer's
-/// header-checksum chain).
-[[nodiscard]] constexpr std::uint64_t fnv1a_u64(std::uint64_t word,
-                                                std::uint64_t h) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (word >> (8 * i)) & 0xffU;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 inline constexpr char kShardMagic[8] = {'P', 'A', 'G', 'E', 'N', 'C', 'S', '1'};
 inline constexpr char kTrailerMagic[8] = {'P', 'A', 'G', 'E',
                                           'N', 'C', 'T', '1'};
-
-/// Domain separation: header and trailer checksums start from different
-/// seeds so 40 trailer bytes can never validate as a block header.
-inline constexpr std::uint64_t kHeaderChecksumSeed =
-    (kFnvOffset ^ 'B') * kFnvPrime;
-inline constexpr std::uint64_t kTrailerChecksumSeed =
-    (kFnvOffset ^ 'T') * kFnvPrime;
 
 inline constexpr std::size_t kBlockHeaderBytes = 40;
 inline constexpr std::size_t kTrailerBytes = 40;

@@ -84,4 +84,14 @@ graph::EdgeList ShardedGraphView::load_shard(int rank) const {
   return all;
 }
 
+graph::EdgeList ShardedGraphView::load_all() const {
+  graph::EdgeList all;
+  all.reserve(manifest_.total_edges());
+  merged_edge_source().visit_shard(
+      0, [&all](std::span<const graph::Edge> b) {
+        all.insert(all.end(), b.begin(), b.end());
+      });
+  return all;
+}
+
 }  // namespace pagen::store

@@ -50,6 +50,10 @@ class ShardedGraphView {
   /// Decode one whole shard (tests / small stores; ignores the budget).
   [[nodiscard]] graph::EdgeList load_shard(int rank) const;
 
+  /// Decode every shard, concatenated in rank order — the gather order of
+  /// the run that wrote the store (small stores; ignores the budget).
+  [[nodiscard]] graph::EdgeList load_all() const;
+
  private:
   std::string dir_;
   std::uint64_t budget_;

@@ -7,10 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "graph/sharded_io.h"
-#include "graph/varint_io.h"
 #include "store/edge_writer.h"
 #include "util/error.h"
+#include "util/file_bytes.h"
 
 namespace pagen::svc {
 
@@ -64,15 +63,47 @@ void ResultCache::bind_metrics(obs::Counter* hits, obs::Counter* misses,
 
 namespace {
 
-/// FNV-1a over a file's raw bytes (streamed in chunks — store shards can be
-/// multi-GB); false when the file cannot be read.
-bool file_fnv1a(const std::string& path, std::uint64_t& out) {
-  return store::streaming_file_fnv1a(path, out);
-}
+/// Tag on the first marker line: the spec hash that sealed a compressed
+/// store. v1 (no checksums) and v2 (the retired raw-shard layout) markers
+/// carry other tags and read as a plain miss.
+constexpr const char* kMarkerTag = "pagen.svc.store.v3";
 
-/// Manifest file path (mirrors graph/sharded_io.cpp's layout).
-std::string manifest_path(const std::string& dir) {
-  return dir + "/manifest.pagen";
+/// Verify the sealed content against the rest of the marker (after its tag
+/// line): the manifest checksum, then exactly one shard line per manifest
+/// shard, ranks 0..num_shards-1 in order, each matching its file, then the
+/// manifest's counts against the spec. Empty when everything holds,
+/// otherwise why not.
+std::string verify_seal(std::istream& is, const std::string& dir,
+                        const JobSpec& spec) {
+  std::string tag;
+  std::uint64_t want = 0;
+  std::uint64_t got = 0;
+  if (!(is >> tag >> std::hex >> want) || tag != "manifest") {
+    return "marker truncated before manifest checksum";
+  }
+  if (!store::streaming_file_fnv1a(store::manifest_path(dir), got)) {
+    return "manifest unreadable";
+  }
+  if (got != want) return "manifest checksum mismatch";
+  const store::StoreManifest manifest = store::load_manifest(dir);
+  for (int r = 0; r < manifest.num_shards; ++r) {
+    const std::string which = "shard " + std::to_string(r);
+    int shard = -1;
+    if (!(is >> tag >> std::dec >> shard >> std::hex >> want) ||
+        tag != "shard" || shard != r) {
+      return "marker lacks the line of " + which;
+    }
+    if (!store::streaming_file_fnv1a(store::shard_path(dir, r), got)) {
+      return which + " unreadable";
+    }
+    if (got != want) return which + " checksum mismatch";
+  }
+  if (is >> tag) return "marker lists more shards than the manifest";
+  if (manifest.num_nodes != spec.config.n ||
+      manifest.total_edges() != expected_edge_count(spec.config)) {
+    return "manifest counts disagree with spec";
+  }
+  return {};
 }
 
 }  // namespace
@@ -82,32 +113,21 @@ std::string store_marker_path(const std::string& dir) {
 }
 
 void write_store_marker(const std::string& dir, std::uint64_t hash) {
-  const bool compressed = store::is_compressed_store(dir);
-  int num_shards = 0;
-  if (compressed) {
-    num_shards = store::load_manifest(dir).num_shards;
-  } else {
-    num_shards = graph::load_manifest(dir).num_shards;
-  }
-  const std::string mpath =
-      compressed ? store::manifest_path(dir) : manifest_path(dir);
-  std::ofstream os(store_marker_path(dir), std::ios::trunc);
-  PAGEN_CHECK_MSG(os.is_open(),
-                  "cannot write store marker in " << dir);
-  os << (compressed ? "pagen.svc.store.v3 " : "pagen.svc.store.v2 ")
-     << std::hex << hash << "\n";
+  const int num_shards = store::load_manifest(dir).num_shards;
+  std::ostringstream os;
+  os << kMarkerTag << " " << std::hex << hash << "\n";
   std::uint64_t sum = 0;
-  PAGEN_CHECK_MSG(file_fnv1a(mpath, sum),
+  PAGEN_CHECK_MSG(store::streaming_file_fnv1a(store::manifest_path(dir), sum),
                   "cannot checksum manifest in " << dir);
-  os << "manifest " << std::hex << sum << "\n";
+  os << "manifest " << sum << "\n";
   for (int r = 0; r < num_shards; ++r) {
-    const std::string spath =
-        compressed ? store::shard_path(dir, r) : graph::shard_path(dir, r);
-    PAGEN_CHECK_MSG(file_fnv1a(spath, sum),
+    PAGEN_CHECK_MSG(store::streaming_file_fnv1a(store::shard_path(dir, r), sum),
                     "cannot checksum shard " << r << " in " << dir);
     os << "shard " << std::dec << r << " " << std::hex << sum << "\n";
   }
-  PAGEN_CHECK_MSG(os.good(), "store marker write failed in " << dir);
+  const std::string text = os.str();
+  save_bytes_atomic(store_marker_path(dir),
+                    std::vector<std::uint8_t>(text.begin(), text.end()));
 }
 
 StoreProbe probe_store(const std::string& dir, const JobSpec& spec) {
@@ -117,76 +137,17 @@ StoreProbe probe_store(const std::string& dir, const JobSpec& spec) {
   std::string tag;
   std::uint64_t recorded = 0;
   is >> tag >> std::hex >> recorded;
-  if (!is) return probe;
-  // Legacy v1 markers carry no content checksums and cannot be verified;
-  // treat them as a miss so the store is regenerated under a current seal.
-  // v2 seals a raw sharded store, v3 a compressed block store — same
-  // marker shape, different manifest/shard file layout underneath.
-  if (tag != "pagen.svc.store.v2" && tag != "pagen.svc.store.v3") {
-    return probe;
-  }
-  const bool compressed = tag == "pagen.svc.store.v3";
-  if (recorded != spec_hash(spec)) return probe;  // another spec's store
-  probe.compressed = compressed;
+  // A marker of a retired layout, or another spec's store: a plain miss,
+  // regenerated under a current seal.
+  if (!is || tag != kMarkerTag || recorded != spec_hash(spec)) return probe;
   // The marker claims this spec: from here every defect is corruption.
-  const std::string mpath =
-      compressed ? store::manifest_path(dir) : manifest_path(dir);
-  std::ostringstream why;
-  std::uint64_t want = 0;
-  std::uint64_t got = 0;
-  if (!(is >> tag >> std::hex >> want) || tag != "manifest") {
-    why << "marker truncated before manifest checksum";
-  } else if (!file_fnv1a(mpath, got)) {
-    why << "manifest unreadable";
-  } else if (got != want) {
-    why << "manifest checksum mismatch";
-  } else {
-    int shard = -1;
-    while (is >> tag) {
-      if (tag != "shard" || !(is >> std::dec >> shard >> std::hex >> want)) {
-        why << "malformed marker shard line";
-        break;
-      }
-      const std::string spath = compressed ? store::shard_path(dir, shard)
-                                           : graph::shard_path(dir, shard);
-      if (!file_fnv1a(spath, got)) {
-        why << "shard " << shard << " unreadable";
-        break;
-      }
-      if (got != want) {
-        why << "shard " << shard << " checksum mismatch";
-        break;
-      }
-    }
-  }
-  if (!why.str().empty()) {
-    probe.corrupt = true;
-    probe.detail = why.str();
-    return probe;
-  }
   try {
-    NodeId num_nodes = 0;
-    Count total_edges = 0;
-    if (compressed) {
-      const store::StoreManifest manifest = store::load_manifest(dir);
-      num_nodes = manifest.num_nodes;
-      total_edges = manifest.total_edges();
-    } else {
-      const graph::ShardManifest manifest = graph::load_manifest(dir);
-      num_nodes = manifest.num_nodes;
-      total_edges = manifest.total_edges();
-    }
-    if (num_nodes == spec.config.n &&
-        total_edges == expected_edge_count(spec.config)) {
-      probe.match = true;
-    } else {
-      probe.corrupt = true;
-      probe.detail = "manifest counts disagree with spec";
-    }
+    probe.detail = verify_seal(is, dir, spec);
   } catch (const CheckError& e) {
-    probe.corrupt = true;
     probe.detail = e.what();
   }
+  probe.match = probe.detail.empty();
+  probe.corrupt = !probe.match;
   return probe;
 }
 

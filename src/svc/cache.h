@@ -10,9 +10,9 @@
 //    order is a deterministic function of the access history, not of
 //    wall-clock.
 //
-//  * Sharded-store probe — a spec whose store_dir already holds a sharded
-//    store (graph/sharded_io.h) *produced by the same spec* is served from
-//    disk without regeneration, surviving process restarts. Provenance is a
+//  * Store probe — a spec whose store_dir already holds a compressed block
+//    store (src/store/) *produced by the same spec* is served from disk
+//    without regeneration, surviving process restarts. Provenance is a
 //    marker file recording the producing spec hash next to the manifest;
 //    the manifest alone (num_nodes + counts) could not tell two seeds
 //    apart. See docs/serving.md §3.
@@ -69,32 +69,28 @@ class ResultCache {
   obs::Counter* evictions_metric_ = nullptr;
 };
 
-/// Path of the spec-hash marker a completed kShardedStore job writes next
-/// to the manifest.
+/// Path of the spec-hash marker a completed kCompressedStore job writes
+/// next to the manifest.
 [[nodiscard]] std::string store_marker_path(const std::string& dir);
 
-/// Record that `dir`'s store was produced by a spec hashing to `hash`.
-/// Written after the shards and manifest, so a marker implies a complete
-/// store. The marker seals the store's content: it records an FNV-1a
-/// checksum of the manifest file and of every shard file, so a later probe
-/// detects on-disk corruption instead of serving poison. The store type is
-/// auto-detected: a compressed block store (src/store/) gets a v3 marker
-/// over its `store.manifest` and `edges.<r>.pcs` files; a raw sharded
-/// store (graph/sharded_io.h) keeps the v2 marker shape.
+/// Record that `dir`'s compressed store was produced by a spec hashing to
+/// `hash`. Written (atomically) after the shards and manifest, so a marker
+/// implies a complete store. The v3 marker seals the store's content: it
+/// records an FNV-1a checksum of `store.manifest` and of every
+/// `edges.<r>.pcs` shard, so a later probe detects on-disk corruption
+/// instead of serving poison.
 void write_store_marker(const std::string& dir, std::uint64_t hash);
 
 /// Outcome of probing `dir` for a store serving `spec` (docs/robustness.md
 /// §6). Exactly one of three shapes: a verified match; a plain miss (no
-/// marker, a legacy v1 marker, or a different spec's store); or *corrupt* —
-/// the marker claims this spec but the content fails verification
-/// (checksum mismatch, torn manifest, wrong counts). Corrupt stores must
-/// be quarantined, never served.
+/// marker, a v1 or v2 marker of a retired layout, or a different spec's
+/// store); or *corrupt* — the marker claims this spec but the content fails
+/// verification (checksum mismatch, torn manifest, a shard line missing or
+/// out of order, wrong counts). Corrupt stores must be quarantined, never
+/// served.
 struct StoreProbe {
   bool match = false;
   bool corrupt = false;
-  /// The marker claims a compressed block store (v3); load through
-  /// store::ShardedGraphView rather than graph::load_all_shards.
-  bool compressed = false;
   std::string detail;  ///< human-readable reason when corrupt
 };
 
@@ -103,7 +99,7 @@ struct StoreProbe {
 [[nodiscard]] StoreProbe probe_store(const std::string& dir,
                                      const JobSpec& spec);
 
-/// True when `dir` holds a complete, checksum-verified sharded store
+/// True when `dir` holds a complete, checksum-verified compressed store
 /// produced by `spec` (probe_store(...).match).
 [[nodiscard]] bool store_matches(const std::string& dir, const JobSpec& spec);
 

@@ -4,36 +4,12 @@
 #include <sstream>
 
 #include "core/engine/engine.h"
+#include "util/hash.h"
 
 namespace pagen::svc {
 namespace {
 
-/// FNV-1a over little-endian 64-bit words (the same construction the golden
-/// tests use for edge hashes, so hashes are stable and diffable).
-class Fnv1a {
- public:
-  void word(std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      byte((w >> (8 * i)) & 0xffU);
-    }
-  }
-  /// Length-prefixed so no two string sequences collide by concatenation.
-  void str(const std::string& s) {
-    word(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  [[nodiscard]] std::uint64_t digest() const { return h_; }
-
- private:
-  void byte(std::uint64_t b) {
-    h_ ^= b & 0xffU;
-    h_ *= 0x100000001b3ULL;
-  }
-
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-/// Domain tag: rotate when the hashed schema changes so stale sharded-store
+/// Domain tag: rotate when the hashed schema changes so stale store
 /// markers from an older layout can never satisfy a probe. '02 added the
 /// engine field (ISSUE 9).
 constexpr std::uint64_t kSpecHashVersion = 0x7061672e737663'02ULL;
@@ -76,12 +52,8 @@ std::string validate(const JobSpec& spec) {
     why << "buffer_capacity must be >= 1";
   } else if (spec.node_batch < 1) {
     why << "node_batch must be >= 1";
-  } else if ((spec.sink == Sink::kShardedStore ||
-              spec.sink == Sink::kCompressedStore) &&
-             spec.store_dir.empty()) {
-    why << (spec.sink == Sink::kShardedStore ? "Sink::kShardedStore"
-                                             : "Sink::kCompressedStore")
-        << " requires store_dir";
+  } else if (spec.sink == Sink::kCompressedStore && spec.store_dir.empty()) {
+    why << "Sink::kCompressedStore requires store_dir";
   } else if (spec.sink == Sink::kCompressedStore &&
              spec.fault_plan.has_crash()) {
     why << "Sink::kCompressedStore cannot run under a crash plan: a "

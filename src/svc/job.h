@@ -31,14 +31,13 @@ inline constexpr JobId kNoJob = 0;
 enum class Sink : std::uint8_t {
   kCount,         ///< no edge storage: load statistics / warm-up runs
   kGather,        ///< edges (and the x = 1 targets row) in the JobOutput
-  kShardedStore,  ///< per-rank shard files + manifest in store_dir
   /// Compressed block store (src/store/, docs/storage.md) in store_dir:
   /// edges stream straight from the generator's sink into delta+varint
   /// blocks, so the job never materializes its edges, and the result is
   /// re-loadable under a memory budget (store::ShardedGraphView). Sealed
-  /// with a v3 marker; verified on probe like kShardedStore. Incompatible
-  /// with crash-injection fault plans (re-emission would duplicate
-  /// blocks); retries regenerate from scratch instead of resuming.
+  /// with a v3 marker that the next probe verifies. Incompatible with
+  /// crash-injection fault plans (re-emission would duplicate blocks);
+  /// retries regenerate from scratch instead of resuming.
   kCompressedStore,
 };
 
@@ -59,9 +58,9 @@ struct JobSpec {
 
   // Delivery.
   Sink sink = Sink::kGather;
-  /// Sharded-store directory. Required for Sink::kShardedStore; when set on
-  /// any sink it is also probed for an existing matching store at submit
-  /// (docs/serving.md §3). Give distinct specs distinct directories.
+  /// Compressed-store directory. Required for Sink::kCompressedStore; when
+  /// set on any sink it is also probed for an existing matching store at
+  /// submit (docs/serving.md §3). Give distinct specs distinct directories.
   std::string store_dir;
 
   // Scheduling (never part of spec_hash).
@@ -136,18 +135,18 @@ struct JobOutput {
   /// only; normalize before comparing across runs.
   graph::EdgeList edges;
   /// F_t per node (Sink::kGather with x == 1 on a fresh run; empty when the
-  /// job was served from a sharded store, which persists only edges).
+  /// job was served from a compressed store, which persists only edges).
   std::vector<NodeId> targets;
   Count total_edges = 0;
-  /// Directory of the sharded store this output lives in (kShardedStore
-  /// jobs and store-served repeats).
+  /// Directory of the compressed store this output lives in
+  /// (kCompressedStore jobs and store-served repeats).
   std::string store_dir;
 };
 
 /// Snapshot returned by Server::poll / wait.
 struct JobStatus {
   JobState state = JobState::kQueued;
-  /// Served from the result cache or an existing sharded store, without
+  /// Served from the result cache or an existing compressed store, without
   /// running the generators.
   bool from_cache = false;
   /// Worker runs consumed so far (0 for cache/store hits).

@@ -10,12 +10,11 @@
 #include "core/checkpoint.h"
 #include "core/engine/engine.h"
 #include "core/generate.h"
-#include "graph/sharded_io.h"
-#include "graph/varint_io.h"
 #include "obs/prom.h"
 #include "store/edge_writer.h"
 #include "store/graph_view.h"
 #include "util/error.h"
+#include "util/file_bytes.h"
 #include "util/timer.h"
 
 namespace pagen::svc {
@@ -91,7 +90,7 @@ constexpr std::uint64_t kSaltCkptCorrupt = 0x636b7074ULL;      // "ckpt"
 /// corruption primitive). No-op when the file is missing or empty.
 void flip_byte_in_file(const std::string& path) {
   std::vector<std::uint8_t> bytes;
-  if (!graph::try_load_bytes(path, bytes) || bytes.empty()) return;
+  if (!try_load_bytes(path, bytes) || bytes.empty()) return;
   bytes[bytes.size() / 2] ^= 0x01U;
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os.is_open()) return;
@@ -108,7 +107,7 @@ void flip_byte_in_file(const std::string& path) {
 /// an unreadable file and quarantines it.
 void rot_checkpoint_file(const std::string& path) {
   std::vector<std::uint8_t> bytes;
-  if (graph::try_load_bytes(path, bytes) && !bytes.empty()) {
+  if (try_load_bytes(path, bytes) && !bytes.empty()) {
     flip_byte_in_file(path);
     return;
   }
@@ -202,7 +201,7 @@ Server::Submitted Server::submit(const JobSpec& spec) {
     return serve_completed(spec, hash, std::move(cached));
   }
 
-  // Tier 2: an existing sharded store produced by this very spec,
+  // Tier 2: an existing compressed store produced by this very spec,
   // verify-on-read. A verified match serves from disk; a *corrupt* store
   // (the marker claims this spec but the content fails its checksums) is
   // quarantined and the job regenerates — poison is never served. Any
@@ -219,25 +218,12 @@ Server::Submitted Server::submit(const JobSpec& spec) {
       try {
         auto out = std::make_shared<JobOutput>();
         out->store_dir = spec.store_dir;
-        if (probe.compressed) {
-          const store::ShardedGraphView view(spec.store_dir);
-          out->total_edges = view.manifest().total_edges();
-          if (spec.sink == Sink::kGather) {
-            // Shards decoded in rank order == the gather order of a fresh
-            // run, so a compressed-store serve is bitwise-identical.
-            out->edges.reserve(out->total_edges);
-            for (int r = 0; r < view.manifest().num_shards; ++r) {
-              const graph::EdgeList shard = view.load_shard(r);
-              out->edges.insert(out->edges.end(), shard.begin(), shard.end());
-            }
-          }
-        } else {
-          out->total_edges = graph::load_manifest(spec.store_dir).total_edges();
-          if (spec.sink == Sink::kGather) {
-            // Shards concatenated in rank order == the gather order of a
-            // fresh run, so a store serve is bitwise-identical to generating.
-            out->edges = graph::load_all_shards(spec.store_dir);
-          }
+        const store::ShardedGraphView view(spec.store_dir);
+        out->total_edges = view.manifest().total_edges();
+        if (spec.sink == Sink::kGather) {
+          // Shards decoded in rank order == the gather order of a fresh
+          // run, so a store serve is bitwise-identical to generating.
+          out->edges = view.load_all();
         }
         store_hits_->add();
         cache_.insert(hash, out);
@@ -298,7 +284,6 @@ bool Server::serves(const JobSpec& spec, const JobOutput& out) {
       return true;  // only the tallies are needed; any shape has them
     case Sink::kGather:
       return !out.edges.empty() || out.total_edges == 0;
-    case Sink::kShardedStore:
     case Sink::kCompressedStore:
       return out.store_dir == spec.store_dir;
   }
@@ -410,7 +395,6 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
   opt.buffer_capacity = spec.buffer_capacity;
   opt.node_batch = spec.node_batch;
   opt.gather_edges = spec.sink == Sink::kGather;
-  opt.keep_shards = spec.sink == Sink::kShardedStore;
   if (spec.sink == Sink::kCompressedStore) {
     // Edges stream from the sink straight into the compressed store —
     // no gather, no kept shards, regardless of graph size.
@@ -482,8 +466,9 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
     out->edges = std::move(result.edges);
     out->targets = std::move(result.targets);
     out->total_edges = result.total_edges;
-    if (spec.sink == Sink::kShardedStore) {
-      graph::save_sharded(spec.store_dir, spec.config.n, result.shards);
+    if (spec.sink == Sink::kCompressedStore) {
+      // generate() already streamed the edges into the store and sealed
+      // the v3 manifest; the marker seals provenance.
       write_store_marker(spec.store_dir, rec->hash);
       out->store_dir = spec.store_dir;
       if (chaos.storecorrupt > 0.0 &&
@@ -491,18 +476,6 @@ void Server::run_job(JobId id, const std::shared_ptr<Record>& rec) {
               chaos.storecorrupt) {
         // Rot a shard *after* the marker sealed the store: the next probe
         // must catch the mismatch and quarantine instead of serving it.
-        flip_byte_in_file(graph::shard_path(
-            spec.store_dir, static_cast<int>(id % static_cast<JobId>(
-                                                      spec.ranks))));
-      }
-    } else if (spec.sink == Sink::kCompressedStore) {
-      // generate() already streamed the edges into the store and sealed
-      // the v3 manifest; the marker (auto-detected as v3) seals provenance.
-      write_store_marker(spec.store_dir, rec->hash);
-      out->store_dir = spec.store_dir;
-      if (chaos.storecorrupt > 0.0 &&
-          chaos.svc_roll(kSaltStoreCorrupt, id, attempt) <
-              chaos.storecorrupt) {
         flip_byte_in_file(store::shard_path(
             spec.store_dir, static_cast<int>(id % static_cast<JobId>(
                                                       spec.ranks))));

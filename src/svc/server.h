@@ -104,10 +104,10 @@ struct ServerStats {
   Count retries = 0;  ///< failed attempts re-queued with backoff
   Count resumed = 0;  ///< retry attempts that restored checkpoint progress
   Count circuit_open_rejects = 0;  ///< submits fast-failed by the breaker
-  Count quarantined_stores = 0;    ///< corrupt sharded stores quarantined
+  Count quarantined_stores = 0;    ///< corrupt stores quarantined
   Count quarantined_checkpoints = 0;  ///< corrupt checkpoint files quarantined
   Count cache_hits = 0;        ///< memory-cache serves
-  Count cache_store_hits = 0;  ///< sharded-store serves
+  Count cache_store_hits = 0;  ///< compressed-store serves
   Count cache_misses = 0;
   std::size_t queue_depth = 0;
   int running = 0;
@@ -131,7 +131,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Admission: validate, check the deadline against the admission tick,
-  /// try the result cache and the sharded-store probe, then queue. Rejects
+  /// try the result cache and the store probe, then queue. Rejects
   /// carry a reason and leave no record (retry later). A cache/store hit
   /// returns an already-completed job.
   Submitted submit(const JobSpec& spec);

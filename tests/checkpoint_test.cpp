@@ -11,9 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
-#include "graph/varint_io.h"
 #include "util/error.h"
 #include "util/types.h"
+#include "util/varint.h"
 
 namespace pagen::core {
 namespace {
@@ -130,13 +130,13 @@ TEST_F(CheckpointTest, OverlongElementCountRaisesNotAllocates) {
   // count check can reject it.
   constexpr std::uint64_t kMagic = 0x7061676e636b7032ULL;
   std::vector<std::uint8_t> buf;
-  graph::put_varint(buf, kMagic);
-  graph::put_varint(buf, 64);              // n
-  graph::put_varint(buf, 1);               // x
-  graph::put_varint(buf, 7);               // seed
-  graph::put_varint(buf, 0);               // rank
-  graph::put_varint(buf, 2);               // nranks
-  graph::put_varint(buf, 1ULL << 40);      // f count: absurd
+  put_varint(buf, kMagic);
+  put_varint(buf, 64);              // n
+  put_varint(buf, 1);               // x
+  put_varint(buf, 7);               // seed
+  put_varint(buf, 0);               // rank
+  put_varint(buf, 2);               // nranks
+  put_varint(buf, 1ULL << 40);      // f count: absurd
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const std::uint8_t b : buf) {
     h ^= b;

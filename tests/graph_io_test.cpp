@@ -1,7 +1,5 @@
 #include "graph/io.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -33,55 +31,6 @@ TEST(TextIo, SkipsCommentsAndBlanks) {
 TEST(TextIo, MalformedRowThrows) {
   std::stringstream ss("1 only-one-number\n");
   EXPECT_THROW(read_text(ss), CheckError);
-}
-
-TEST(BinaryIo, RoundTrip) {
-  std::stringstream ss;
-  write_binary(ss, sample_edges());
-  const EdgeList back = read_binary(ss);
-  EXPECT_EQ(back, sample_edges());
-}
-
-TEST(BinaryIo, EmptyListRoundTrips) {
-  std::stringstream ss;
-  write_binary(ss, {});
-  EXPECT_TRUE(read_binary(ss).empty());
-}
-
-TEST(BinaryIo, BadMagicRejected) {
-  std::stringstream ss("NOTMAGIC garbage");
-  EXPECT_THROW(read_binary(ss), CheckError);
-}
-
-TEST(BinaryIo, TruncationRejected) {
-  std::stringstream ss;
-  write_binary(ss, sample_edges());
-  std::string data = ss.str();
-  data.resize(data.size() - 10);
-  std::stringstream truncated(data);
-  EXPECT_THROW(read_binary(truncated), CheckError);
-}
-
-TEST(BinaryIo, CorruptionDetectedByChecksum) {
-  std::stringstream ss;
-  write_binary(ss, sample_edges());
-  std::string data = ss.str();
-  data[20] = static_cast<char>(data[20] ^ 0x01);  // flip one payload bit
-  std::stringstream corrupted(data);
-  EXPECT_THROW(read_binary(corrupted), CheckError);
-}
-
-TEST(FileIo, SaveLoadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pagen_io_test.bin").string();
-  save_binary(path, sample_edges());
-  const EdgeList back = load_binary(path);
-  EXPECT_EQ(back, sample_edges());
-  std::remove(path.c_str());
-}
-
-TEST(FileIo, MissingFileThrows) {
-  EXPECT_THROW(load_binary("/nonexistent/path/edges.bin"), CheckError);
 }
 
 }  // namespace

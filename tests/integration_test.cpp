@@ -1,7 +1,7 @@
 // End-to-end pipelines across modules: generate -> persist -> reload ->
 // analyze, mirroring what the examples do.
-#include <cstdio>
 #include <filesystem>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "core/scaling_model.h"
 #include "graph/csr.h"
 #include "graph/io.h"
+#include "store/graph_view.h"
 
 namespace pagen {
 namespace {
@@ -22,16 +23,15 @@ TEST(Integration, GeneratePersistReloadAnalyze) {
   core::ParallelOptions opt;
   opt.ranks = 8;
   opt.scheme = partition::Scheme::kRrp;
+  opt.store_dir =
+      (std::filesystem::temp_directory_path() / "pagen_integration_store")
+          .string();
   const auto result = core::generate(cfg, opt);
   ASSERT_EQ(result.edges.size(), expected_edge_count(cfg));
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pagen_integration.bin")
-          .string();
-  graph::save_binary(path, result.edges);
-  const auto reloaded = graph::load_binary(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(reloaded, result.edges);
+  const auto reloaded = store::ShardedGraphView(opt.store_dir).load_all();
+  std::filesystem::remove_all(opt.store_dir);
+  ASSERT_EQ(reloaded, result.edges) << "rank-order shards == gather order";
 
   const auto deg = graph::degree_sequence(reloaded, cfg.n);
   const auto fit = analysis::fit_gamma_mle(deg, cfg.x);
@@ -85,16 +85,20 @@ TEST(Integration, DegreeDistributionPipelineMatchesAcrossPaths) {
   EXPECT_GE(pdf.size(), 5u) << "tail spans multiple log bins";
 }
 
-TEST(Integration, TextAndBinaryFormatsAgree) {
+TEST(Integration, TextAndStoreAgree) {
   const PaConfig cfg{.n = 2000, .x = 3, .p = 0.5, .seed = 55};
   core::ParallelOptions opt;
   opt.ranks = 3;
+  opt.store_dir =
+      (std::filesystem::temp_directory_path() / "pagen_integration_text")
+          .string();
   const auto result = core::generate(cfg, opt);
 
-  std::stringstream text, binary;
+  std::stringstream text;
   graph::write_text(text, result.edges);
-  graph::write_binary(binary, result.edges);
-  EXPECT_EQ(graph::read_text(text), graph::read_binary(binary));
+  EXPECT_EQ(graph::read_text(text),
+            store::ShardedGraphView(opt.store_dir).load_all());
+  std::filesystem::remove_all(opt.store_dir);
 }
 
 }  // namespace

@@ -238,7 +238,7 @@ TEST_F(StoreWriterTest, StoreWriterManifestRoundTrip) {
   }
   const StoreManifest manifest = writer.finish(/*num_nodes=*/2000);
 
-  EXPECT_TRUE(is_compressed_store(dir_ + "/store"));
+  EXPECT_TRUE(std::filesystem::exists(manifest_path(dir_ + "/store")));
   const StoreManifest loaded = load_manifest(dir_ + "/store");
   EXPECT_EQ(loaded.num_nodes, 2000u);
   EXPECT_EQ(loaded.num_shards, 3);
@@ -256,7 +256,7 @@ TEST_F(StoreWriterTest, StoreWriterManifestRoundTrip) {
 }
 
 TEST_F(StoreWriterTest, ManifestMissingOrForeignDirRejected) {
-  EXPECT_FALSE(is_compressed_store(dir_));
+  EXPECT_FALSE(std::filesystem::exists(manifest_path(dir_)));
   EXPECT_THROW((void)load_manifest(dir_), CheckError);
 }
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,6 +78,31 @@ TEST_F(StoreViewTest, ShardsRoundTripTheGeneratedEdges) {
     reloaded.insert(reloaded.end(), shard.begin(), shard.end());
   }
   EXPECT_EQ(normalized(reloaded), normalized(result_.edges));
+  EXPECT_EQ(view.load_all(), reloaded) << "load_all concatenates rank order";
+}
+
+TEST_F(StoreViewTest, ManifestVersionAndShardCountsChecked) {
+  // A manifest whose per-shard count disagrees with the shard is caught
+  // when the shard streams, even though every block checksum holds.
+  StoreManifest lying = load_manifest(dir_);
+  ++lying.shards[1].edges;
+  write_manifest(dir_, lying);
+  const ShardedGraphView view(dir_);
+  EXPECT_NO_THROW((void)view.load_shard(0));
+  EXPECT_THROW((void)view.load_shard(1), CheckError);
+
+  // Any other manifest version is rejected at open.
+  std::string text;
+  {
+    std::ifstream is(manifest_path(dir_));
+    text.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_EQ(text.rfind("pagen-store 3\n", 0), 0u);
+  {
+    std::ofstream os(manifest_path(dir_), std::ios::trunc);
+    os << "pagen-store 99\n" << text.substr(text.find('\n') + 1);
+  }
+  EXPECT_THROW(ShardedGraphView{dir_}, CheckError);
 }
 
 TEST_F(StoreViewTest, KernelsMatchInMemoryShardsExactly) {

@@ -183,7 +183,7 @@ TEST(SvcFault, RankCrashBeyondRespawnBudgetIsAnAttemptFailure) {
 TEST(SvcFault, CorruptStoreIsQuarantinedAndRegenerated) {
   const std::string dir = scratch_dir("store");
   JobSpec spec = gather_spec(240, 5, 3);
-  spec.sink = Sink::kShardedStore;
+  spec.sink = Sink::kCompressedStore;
   spec.store_dir = dir;
 
   {
@@ -223,7 +223,7 @@ TEST(SvcFault, CorruptStoreIsQuarantinedAndRegenerated) {
   }
   EXPECT_TRUE(saw_quarantine);
 
-  // The gather regeneration did not re-seal the store (only kShardedStore
+  // The gather regeneration did not re-seal the store (only kCompressedStore
   // jobs write it); a store-sink submit rebuilds and re-seals it, after
   // which the probe serves from disk again.
   const JobStatus resealed = server.wait(must_submit(server, spec));

@@ -1,16 +1,17 @@
 // Unit coverage of the svc building blocks below the Server facade: JobSpec
 // hashing/validation, the bounded priority JobQueue, the LRU ResultCache,
-// and the sharded-store provenance marker (docs/serving.md §2–3).
+// and the compressed-store provenance marker (docs/serving.md §2–3).
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/generate.h"
-#include "graph/sharded_io.h"
 #include "obs/metrics.h"
+#include "store/edge_writer.h"
 #include "svc/cache.h"
 #include "svc/job.h"
 #include "svc/queue.h"
@@ -150,8 +151,8 @@ TEST(SpecValidate, AcceptsAndRejects) {
   s.node_batch = 0;
   EXPECT_NE(validate(s), "");
   s = small_spec();
-  s.sink = Sink::kShardedStore;
-  EXPECT_NE(validate(s), "") << "sharded sink without a directory";
+  s.sink = Sink::kCompressedStore;
+  EXPECT_NE(validate(s), "") << "store sink without a directory";
 }
 
 TEST(JobEnums, StringsAndTerminality) {
@@ -264,7 +265,7 @@ TEST(ResultCache, MirrorsTalliesIntoObsCounters) {
   EXPECT_EQ(reg.counter("svc.cache_evictions").value(), 1u);
 }
 
-// --- Sharded-store provenance marker ---
+// --- Compressed-store provenance marker ---
 
 class StoreMarkerTest : public ::testing::Test {
  protected:
@@ -280,18 +281,26 @@ class StoreMarkerTest : public ::testing::Test {
 };
 int StoreMarkerTest::counter_ = 0;
 
-TEST_F(StoreMarkerTest, CompleteStoreWithMatchingMarkerServes) {
-  JobSpec spec = small_spec();
-  spec.store_dir = dir_;
-
+/// Writes `spec`'s edges as a compressed store in `dir` (no marker).
+void write_store(const std::string& dir, const JobSpec& spec) {
   core::ParallelOptions opt;
   opt.ranks = spec.ranks;
   opt.scheme = spec.scheme;
   opt.gather_edges = false;
-  opt.keep_shards = true;
-  const auto result = core::generate(spec.config, opt);
-  graph::save_sharded(dir_, spec.config.n, result.shards);
-  write_store_marker(dir_, spec_hash(spec));
+  opt.store_dir = dir;
+  (void)core::generate(spec.config, opt);
+}
+
+/// Builds a complete, sealed store for `spec` in `dir`.
+void build_store(const std::string& dir, const JobSpec& spec) {
+  write_store(dir, spec);
+  write_store_marker(dir, spec_hash(spec));
+}
+
+TEST_F(StoreMarkerTest, CompleteStoreWithMatchingMarkerServes) {
+  JobSpec spec = small_spec();
+  spec.store_dir = dir_;
+  build_store(dir_, spec);
 
   EXPECT_TRUE(store_matches(dir_, spec));
 
@@ -306,19 +315,14 @@ TEST_F(StoreMarkerTest, MissingPiecesAreAMissNotAnError) {
   spec.store_dir = dir_;
   EXPECT_FALSE(store_matches(dir_, spec)) << "directory does not even exist";
 
-  // Sealing a storeless directory is impossible since v2: the marker
-  // checksums the manifest and shards at write time.
+  // Sealing a storeless directory is impossible: the marker checksums the
+  // manifest and shards at write time.
   std::filesystem::create_directories(dir_);
   EXPECT_THROW(write_store_marker(dir_, spec_hash(spec)), CheckError);
   EXPECT_FALSE(store_matches(dir_, spec));
 
   // Corrupt marker next to a real store: a miss.
-  core::ParallelOptions opt;
-  opt.ranks = spec.ranks;
-  opt.gather_edges = false;
-  opt.keep_shards = true;
-  const auto result = core::generate(spec.config, opt);
-  graph::save_sharded(dir_, spec.config.n, result.shards);
+  write_store(dir_, spec);
   {
     std::ofstream os(store_marker_path(dir_), std::ios::trunc);
     os << "not-a-marker\n";
@@ -326,16 +330,41 @@ TEST_F(StoreMarkerTest, MissingPiecesAreAMissNotAnError) {
   EXPECT_FALSE(store_matches(dir_, spec));
 }
 
-/// Builds a complete, sealed store for `spec` in `dir`.
-void build_store(const std::string& dir, const JobSpec& spec) {
-  core::ParallelOptions opt;
-  opt.ranks = spec.ranks;
-  opt.scheme = spec.scheme;
-  opt.gather_edges = false;
-  opt.keep_shards = true;
-  const auto result = core::generate(spec.config, opt);
-  graph::save_sharded(dir, spec.config.n, result.shards);
-  write_store_marker(dir, spec_hash(spec));
+/// The marker's lines.
+std::vector<std::string> marker_lines(const std::string& dir) {
+  std::ifstream is(store_marker_path(dir));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Replace the marker with `lines`.
+void rewrite_marker(const std::string& dir,
+                    const std::vector<std::string>& lines) {
+  std::ofstream os(store_marker_path(dir), std::ios::trunc);
+  for (const std::string& line : lines) os << line << "\n";
+}
+
+TEST_F(StoreMarkerTest, RetiredMarkerVersionsAreAMiss) {
+  // v1 carried no checksums and v2 sealed the retired raw-shard layout;
+  // both read as a plain miss (never corrupt), so the store regenerates
+  // under a v3 seal.
+  JobSpec spec = small_spec();
+  spec.store_dir = dir_;
+  build_store(dir_, spec);
+  std::vector<std::string> lines = marker_lines(dir_);
+  const std::string v3 = "pagen.svc.store.v3";
+  ASSERT_EQ(lines[0].substr(0, v3.size()), v3);
+  for (const std::string old : {"pagen.svc.store.v1", "pagen.svc.store.v2"}) {
+    lines[0].replace(0, v3.size(), old);
+    rewrite_marker(dir_, lines);
+    const StoreProbe probe = probe_store(dir_, spec);
+    EXPECT_FALSE(probe.match) << old;
+    EXPECT_FALSE(probe.corrupt) << old;
+    lines[0].replace(0, old.size(), v3);
+  }
+  rewrite_marker(dir_, lines);
+  EXPECT_TRUE(store_matches(dir_, spec));
 }
 
 /// Flip one byte in the middle of `path`.
@@ -370,7 +399,7 @@ TEST_F(StoreMarkerTest, ByteFlippedShardIsCorruptAndQuarantinable) {
   build_store(dir_, spec);
   ASSERT_TRUE(probe_store(dir_, spec).match);
 
-  flip_byte(graph::shard_path(dir_, 0));
+  flip_byte(store::shard_path(dir_, 0));
   const StoreProbe probe = probe_store(dir_, spec);
   EXPECT_FALSE(probe.match);
   EXPECT_TRUE(probe.corrupt) << "the marker claims this spec, so a content "
@@ -394,10 +423,49 @@ TEST_F(StoreMarkerTest, ByteFlippedManifestIsCorrupt) {
   spec.store_dir = dir_;
   build_store(dir_, spec);
 
-  flip_byte(dir_ + "/manifest.pagen");
+  flip_byte(store::manifest_path(dir_));
   const StoreProbe probe = probe_store(dir_, spec);
   EXPECT_FALSE(probe.match);
   EXPECT_TRUE(probe.corrupt);
+}
+
+TEST_F(StoreMarkerTest, MarkerMissingShardLinesIsCorrupt) {
+  // A torn marker that lists fewer shards than the manifest must not vouch
+  // for the unlisted shards: here shard 1 is rotten and unlisted.
+  JobSpec spec = small_spec();
+  spec.store_dir = dir_;
+  ASSERT_EQ(spec.ranks, 2);
+  build_store(dir_, spec);
+  const std::vector<std::string> lines = marker_lines(dir_);
+  ASSERT_EQ(lines.size(), 4u);  // tag, manifest, shard 0, shard 1
+  flip_byte(store::shard_path(dir_, 1));
+
+  rewrite_marker(dir_, {lines[0], lines[1], lines[2]});
+  StoreProbe probe = probe_store(dir_, spec);
+  EXPECT_FALSE(probe.match);
+  EXPECT_TRUE(probe.corrupt);
+  EXPECT_NE(probe.detail.find("shard 1"), std::string::npos) << probe.detail;
+
+  rewrite_marker(dir_, {lines[0], lines[1]});
+  probe = probe_store(dir_, spec);
+  EXPECT_FALSE(probe.match);
+  EXPECT_TRUE(probe.corrupt);
+  EXPECT_NE(probe.detail.find("shard 0"), std::string::npos) << probe.detail;
+}
+
+TEST_F(StoreMarkerTest, MarkerShardLinesMustMatchTheManifestInOrder) {
+  JobSpec spec = small_spec();
+  spec.store_dir = dir_;
+  build_store(dir_, spec);
+  const std::vector<std::string> lines = marker_lines(dir_);
+  ASSERT_EQ(lines.size(), 4u);
+
+  rewrite_marker(dir_, {lines[0], lines[1], lines[3], lines[2]});
+  EXPECT_TRUE(probe_store(dir_, spec).corrupt) << "out of order";
+  rewrite_marker(dir_, {lines[0], lines[1], lines[2], lines[3], lines[3]});
+  EXPECT_TRUE(probe_store(dir_, spec).corrupt) << "one line too many";
+  rewrite_marker(dir_, lines);
+  EXPECT_TRUE(probe_store(dir_, spec).match);
 }
 
 // --- JobQueue: retry backoff eligibility and the shedding ladder ---

@@ -1,10 +1,9 @@
 // Server facade tests, centered on the svc determinism contract
 // (docs/serving.md §5): a job executed through the Server produces
 // bitwise-identical output to a direct core::generate() call with the same
-// spec — including when the job is served from the ResultCache, from an
-// existing sharded store, and after a cancel/resubmit.
+// spec — including when the job is served from the ResultCache and after a
+// cancel/resubmit (store serves: svc_store_test.cpp).
 #include <chrono>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -94,43 +93,6 @@ TEST(SvcServer, CacheServedRepeatIsIdentical) {
   EXPECT_EQ(second.output->targets, direct.targets);
   EXPECT_GT(server.stats().cache_hits, 0u);
   EXPECT_EQ(server.stats().completed, 2u);
-}
-
-TEST(SvcServer, StoreServedAcrossServerLifetimes) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "pagen_svc_server_store")
-          .string();
-  std::filesystem::remove_all(dir);
-
-  JobSpec produce = gather_spec(240, 1, 5, 3);  // x = 1: reproducible at P=3
-  produce.sink = Sink::kShardedStore;
-  produce.store_dir = dir;
-  {
-    Server server({.workers = 1});
-    const JobStatus status = server.wait(must_submit(server, produce));
-    ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
-    EXPECT_EQ(status.output->store_dir, dir);
-  }
-
-  // A fresh Server (fresh cache, "restarted process") serves the same spec
-  // from the store on disk, bit for bit.
-  JobSpec consume = produce;
-  consume.sink = Sink::kGather;
-  {
-    Server server({.workers = 1});
-    const Server::Submitted sub = server.submit(consume);
-    ASSERT_EQ(sub.reject, Reject::kNone);
-    EXPECT_TRUE(sub.from_cache) << "store probe must serve without running";
-    const JobStatus status = server.poll(sub.id);
-    ASSERT_EQ(status.state, JobState::kCompleted);
-    ASSERT_NE(status.output, nullptr);
-
-    const auto direct = core::generate(consume.config, direct_options(consume));
-    EXPECT_EQ(normalized(status.output->edges), normalized(direct.edges))
-        << "rank-order shard concatenation == gather order";
-    EXPECT_EQ(server.stats().cache_store_hits, 1u);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 TEST(SvcServer, CancelQueuedThenResubmitMatchesGolden) {

@@ -64,7 +64,7 @@ TEST_F(SvcStoreTest, CompressedStoreJobSealsAReloadableStore) {
 
   // The directory is a valid compressed store with a v3 marker, and the
   // reloaded edges match a direct generation of the same spec.
-  ASSERT_TRUE(store::is_compressed_store(dir_));
+  ASSERT_TRUE(std::filesystem::exists(store::manifest_path(dir_)));
   EXPECT_TRUE(std::filesystem::exists(store_marker_path(dir_)));
   const store::ShardedGraphView view(dir_, std::uint64_t{32} << 20);
   EXPECT_EQ(view.manifest().total_edges(), status.output->total_edges);
@@ -72,12 +72,7 @@ TEST_F(SvcStoreTest, CompressedStoreJobSealsAReloadableStore) {
   core::ParallelOptions direct_opt;
   direct_opt.ranks = spec_.ranks;
   const auto direct = core::generate(spec_.config, direct_opt);
-  graph::EdgeList reloaded;
-  for (int r = 0; r < spec_.ranks; ++r) {
-    const graph::EdgeList shard = view.load_shard(r);
-    reloaded.insert(reloaded.end(), shard.begin(), shard.end());
-  }
-  EXPECT_EQ(normalized(reloaded), normalized(direct.edges));
+  EXPECT_EQ(normalized(view.load_all()), normalized(direct.edges));
 }
 
 TEST_F(SvcStoreTest, FreshServerServesGatherFromCompressedStore) {
@@ -140,6 +135,45 @@ TEST_F(SvcStoreTest, CorruptStoreQuarantinedAndRegenerated) {
   EXPECT_EQ(view.manifest().total_edges(), status.output->total_edges);
 }
 
+TEST_F(SvcStoreTest, TornMarkerWithRottenUnlistedShardIsQuarantined) {
+  {
+    Server server({.workers = 1});
+    ASSERT_EQ(server.wait(must_submit(server, spec_)).state,
+              JobState::kCompleted);
+  }
+  // Tear the marker down to its tag and manifest lines, then rot shard 1,
+  // which the torn marker no longer lists.
+  {
+    std::ifstream is(store_marker_path(dir_));
+    std::string tag_line;
+    std::string manifest_line;
+    std::getline(is, tag_line);
+    std::getline(is, manifest_line);
+    is.close();
+    std::ofstream os(store_marker_path(dir_), std::ios::trunc);
+    os << tag_line << "\n" << manifest_line << "\n";
+  }
+  {
+    std::fstream f(store::shard_path(dir_, 1),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.seekg(60);
+    char c = 0;
+    f.get(c);
+    f.seekp(60);
+    f.put(static_cast<char>(c ^ 1));
+  }
+
+  JobSpec count = spec_;
+  count.sink = Sink::kCount;
+  Server server({.workers = 1});
+  const Server::Submitted sub = server.submit(count);
+  ASSERT_EQ(sub.reject, Reject::kNone);
+  EXPECT_FALSE(sub.from_cache) << "a torn marker must not vouch for shards";
+  EXPECT_EQ(server.wait(sub.id).state, JobState::kCompleted);
+  EXPECT_EQ(server.stats().quarantined_stores, 1u);
+}
+
 TEST_F(SvcStoreTest, CompressedStoreRequiresStoreDir) {
   JobSpec bad = spec_;
   bad.store_dir.clear();
@@ -165,7 +199,7 @@ TEST_F(SvcStoreTest, RetryRegeneratesFromScratch) {
   Server server({.workers = 1});
   const JobStatus status = server.wait(must_submit(server, spec_));
   ASSERT_EQ(status.state, JobState::kCompleted) << status.error;
-  EXPECT_TRUE(store::is_compressed_store(dir_));
+  EXPECT_TRUE(std::filesystem::exists(store::manifest_path(dir_)));
 }
 
 }  // namespace
